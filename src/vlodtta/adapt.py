@@ -292,8 +292,8 @@ def adapt_episode(
     constants = grad.ObjectiveConstants(
         weights=weights, selections=pre.selections, kept=kept, lam=cfg.lam, kappa=cfg.kappa
     )
-    loss, tape = grad.forward_objective(proposals, pool, state, constants)
-    grads = grad.backward(tape)
+    loss, saved = grad.forward_objective(proposals, pool, state, constants)
+    grads = grad.backward(saved)
     state.step(grads, cfg.lr)
 
     post = fused_scores(proposals, pool, state.phi, state.delta, cfg, selections=pre.selections)

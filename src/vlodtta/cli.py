@@ -435,7 +435,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -94,9 +94,6 @@ class ProposalSet:
     def num_classes(self) -> int:
         return self.class_embeddings.shape[0]
 
-    def box_objects(self) -> list[Box]:
-        return [Box(*row) for row in self.boxes.tolist()]
-
 
 def scene_to_json(proposals: ProposalSet, pool: PromptPool, gts: list[GroundTruth]) -> dict:
     """Serialize one scene to the documented JSON layout."""

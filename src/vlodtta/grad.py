@@ -1,23 +1,23 @@
-"""Reverse-mode differentiation of the single-step adaptation objective.
+"""Closed-form gradient of the single-step adaptation objective.
 
-The objective is a fixed composition of a handful of array primitives:
-matrix multiply, row normalization, broadcast add, GELU, a fused
-softmax-entropy, convex combination, and a weighted mean. Each primitive
-records itself on a tape with enough context to replay the forward pass
-and to push gradients backward, and a central-difference checker verifies
-the whole composition end to end.
+The objective is one fixed composition: the bottleneck adapter, row
+normalization, cosine scores against class and prompt directions, the
+mean over each class's selected prompts, convex fusion, a softmax
+entropy, and a weighted mean. `forward_objective` evaluates it and saves
+the intermediates; `backward` applies the hand-derived chain rule to
+them; `fd_check` verifies the result against central differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import erf
 
-from . import scoring
+from . import cluster, scoring
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adapt import AdaptState
@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "gelu",
     "gelu_grad",
-    "Tape",
     "Gradients",
     "ObjectiveConstants",
     "forward_objective",
@@ -58,138 +57,14 @@ def _entropy_score_grad(scores: np.ndarray, kappa: float) -> np.ndarray:
     return -kappa * p * (logp + h[:, None])
 
 
-class Node:
-    """One value in the recorded computation."""
-
-    __slots__ = ("value", "grad", "requires_grad")
-
-    def __init__(self, value: np.ndarray, requires_grad: bool) -> None:
-        self.value = np.asarray(value, dtype=float)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
+def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows scaled to unit norm, their (n, 1) norms)."""
+    return scoring.normalize_rows(m), np.linalg.norm(m, axis=-1, keepdims=True)
 
 
-@dataclass
-class _Entry:
-    out: Node
-    parents: tuple[Node, ...]
-    forward: Callable[..., np.ndarray]
-    backward: Callable[..., tuple]
-
-
-class Tape:
-    """Recorded forward pass; replayable and reversible."""
-
-    def __init__(self) -> None:
-        self._entries: list[_Entry] = []
-        self.leaves: dict[str, Node] = {}
-        self.output: Node | None = None
-
-    def leaf(self, name: str, value: np.ndarray) -> Node:
-        node = Node(value, requires_grad=True)
-        self.leaves[name] = node
-        return node
-
-    def constant(self, value: np.ndarray) -> Node:
-        return Node(value, requires_grad=False)
-
-    def _record(self, parents: tuple[Node, ...], forward, backward) -> Node:
-        out = Node(forward(*[p.value for p in parents]), any(p.requires_grad for p in parents))
-        self._entries.append(_Entry(out, parents, forward, backward))
-        return out
-
-    # -- primitives ------------------------------------------------------ #
-
-    def matmul(self, a: Node, b: Node, transpose_b: bool = False) -> Node:
-        if transpose_b:
-            return self._record(
-                (a, b),
-                lambda av, bv: av @ bv.T,
-                lambda g, av, bv: (g @ bv, g.T @ av),
-            )
-        return self._record(
-            (a, b),
-            lambda av, bv: av @ bv,
-            lambda g, av, bv: (g @ bv.T, av.T @ g),
-        )
-
-    def add(self, a: Node, b: Node) -> Node:
-        return self._record((a, b), lambda av, bv: av + bv, lambda g, av, bv: (g, g))
-
-    def add_row_vector(self, a: Node, vec: Node) -> Node:
-        """Broadcast-add a length-d vector to every row of a matrix."""
-        return self._record(
-            (a, vec),
-            lambda av, vv: av + vv[None, :],
-            lambda g, av, vv: (g, g.sum(axis=0)),
-        )
-
-    def gelu(self, a: Node) -> Node:
-        return self._record((a,), gelu, lambda g, av: (g * gelu_grad(av),))
-
-    def normalize_rows(self, a: Node) -> Node:
-        def backward_fn(g, av):
-            norms = np.linalg.norm(av, axis=-1, keepdims=True)
-            unit = av / norms
-            return ((g - (g * unit).sum(axis=-1, keepdims=True) * unit) / norms,)
-
-        return self._record((a,), scoring.normalize_rows, backward_fn)
-
-    def mix(self, a: Node, b: Node, lam: float) -> Node:
-        return self._record(
-            (a, b),
-            lambda av, bv: scoring.fuse(av, bv, lam),
-            lambda g, av, bv: (lam * g, (1.0 - lam) * g),
-        )
-
-    def softmax_entropy(self, a: Node, kappa: float) -> Node:
-        def forward_fn(av):
-            return scoring.entropy(scoring.posterior(av, kappa))
-
-        def backward_fn(g, av):
-            return (g[:, None] * _entropy_score_grad(av, kappa),)
-
-        return self._record((a,), forward_fn, backward_fn)
-
-    def weighted_mean(self, a: Node, weights: np.ndarray) -> Node:
-        w = np.asarray(weights, dtype=float)
-        coeff = w / w.sum()
-        return self._record(
-            (a,),
-            lambda av: np.dot(w, av) / w.sum(),
-            lambda g, av: (g * coeff,),
-        )
-
-    # -- traversal ------------------------------------------------------- #
-
-    def replay(self) -> float:
-        """Re-run every recorded forward step and return the recomputed output."""
-        if self.output is None:
-            raise RuntimeError("tape holds no output")
-        values: dict[int, np.ndarray] = {}
-        for entry in self._entries:
-            parent_values = [values.get(id(p), p.value) for p in entry.parents]
-            values[id(entry.out)] = entry.forward(*parent_values)
-        return float(values[id(self.output)])
-
-    def run_backward(self) -> None:
-        """Accumulate gradients of the output into every requires_grad node."""
-        if self.output is None:
-            raise RuntimeError("tape holds no output")
-        for entry in self._entries:
-            entry.out.grad = None
-        for node in self.leaves.values():
-            node.grad = None
-        self.output.grad = np.asarray(1.0)
-        for entry in reversed(self._entries):
-            g = entry.out.grad
-            if g is None or not any(p.requires_grad for p in entry.parents):
-                continue
-            parent_grads = entry.backward(g, *[p.value for p in entry.parents])
-            for parent, pg in zip(entry.parents, parent_grads):
-                if not parent.requires_grad or pg is None:
-                    continue
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+def _unit_rows_pullback(g: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient through x -> x / |x| given the output gradient g."""
+    return (g - (g * unit).sum(axis=-1, keepdims=True) * unit) / norms
 
 
 @dataclass(frozen=True)
@@ -224,13 +99,33 @@ class ObjectiveConstants:
     kappa: float
 
 
+@dataclass(frozen=True)
+class _Saved:
+    """Forward intermediates the backward pass reads."""
+
+    features: np.ndarray       # (M, d) kept raw features
+    pre: np.ndarray            # (M, h) pre-GELU activations
+    hidden: np.ndarray         # (M, h)
+    w_up: np.ndarray           # (h, d)
+    unit_features: np.ndarray  # (M, d)
+    feature_norms: np.ndarray  # (M, 1)
+    class_dirs: np.ndarray     # (K, d)
+    unit_prompts: np.ndarray   # (K * n_sel, d) selected prompts plus delta, normalized
+    prompt_norms: np.ndarray   # (K * n_sel, 1)
+    fused: np.ndarray          # (M, K)
+    coeff: np.ndarray          # (M,) weights / weights.sum()
+    n_sel: int
+    lam: float
+    kappa: float
+
+
 def forward_objective(
     proposals: "ProposalSet",
     pool: "PromptPool",
     state: "AdaptState",
     constants: ObjectiveConstants,
-) -> tuple[float, Tape]:
-    """Record the adaptation objective on a tape and return (loss, tape).
+) -> tuple[float, _Saved]:
+    """Evaluate the adaptation objective and return (loss, saved intermediates).
 
     The loss is the weighted mean entropy of the fused-score posteriors of
     the kept proposals, computed through the adapter and the prompt
@@ -246,57 +141,54 @@ def forward_objective(
     if weights.sum() <= 0.0:
         raise ValueError("weights must have a positive sum")
 
-    tape = Tape()
     phi = state.phi
-    w_down = tape.leaf("w_down", phi.w_down)
-    b_down = tape.leaf("b_down", phi.b_down)
-    w_up = tape.leaf("w_up", phi.w_up)
-    b_up = tape.leaf("b_up", phi.b_up)
-    delta = tape.leaf("delta", state.delta)
+    features = proposals.features[kept]
+    pre = features @ phi.w_down + phi.b_down
+    hidden = gelu(pre)
+    adapted = features + (hidden @ phi.w_up + phi.b_up)
+    unit_features, feature_norms = _unit_rows(adapted)
 
-    features = tape.constant(proposals.features[kept])
-    hidden = tape.gelu(tape.add_row_vector(tape.matmul(features, w_down), b_down))
-    residual = tape.add_row_vector(tape.matmul(hidden, w_up), b_up)
-    adapted = tape.add(features, residual)
-    unit_features = tape.normalize_rows(adapted)
-
-    class_dirs = tape.constant(scoring.normalize_rows(proposals.class_embeddings))
-    base_scores = tape.matmul(unit_features, class_dirs, transpose_b=True)
+    class_dirs = scoring.normalize_rows(proposals.class_embeddings)
+    base = unit_features @ class_dirs.T
 
     emb = pool.embeddings
     sel = np.asarray(constants.selections, dtype=int)
     num_classes, n_sel = sel.shape
     selected = emb[np.arange(num_classes)[:, None], sel].reshape(num_classes * n_sel, emb.shape[-1])
-    shifted = tape.add_row_vector(tape.constant(selected), delta)
-    unit_prompts = tape.normalize_rows(shifted)
-    prompt_sims = tape.matmul(unit_features, unit_prompts, transpose_b=True)
-    # (K * n_sel, K) block matrix averaging each class's selected columns
-    group = np.kron(np.eye(num_classes), np.full((n_sel, 1), 1.0 / n_sel))
-    pooled = tape.matmul(prompt_sims, tape.constant(group))
+    unit_prompts, prompt_norms = _unit_rows(selected + state.delta)
+    sims = unit_features @ unit_prompts.T
+    pooled = sims.reshape(kept.size, num_classes, n_sel).mean(axis=-1)
 
-    fused = tape.mix(pooled, base_scores, constants.lam)
-    entropies = tape.softmax_entropy(fused, constants.kappa)
-    loss_node = tape.weighted_mean(entropies, weights)
-    tape.output = loss_node
-    return float(loss_node.value), tape
+    fused = scoring.fuse(pooled, base, constants.lam)
+    entropies = scoring.entropy(scoring.posterior(fused, constants.kappa))
+    loss = cluster.iwe_loss(entropies, weights)
+    saved = _Saved(
+        features=features, pre=pre, hidden=hidden, w_up=phi.w_up,
+        unit_features=unit_features, feature_norms=feature_norms, class_dirs=class_dirs,
+        unit_prompts=unit_prompts, prompt_norms=prompt_norms, fused=fused,
+        coeff=weights / weights.sum(), n_sel=n_sel, lam=constants.lam, kappa=constants.kappa,
+    )
+    return loss, saved
 
 
-def backward(tape: Tape) -> Gradients:
-    """Reverse pass over a recorded objective; unused leaves get zero gradients."""
-    tape.run_backward()
+def backward(saved: _Saved) -> Gradients:
+    """Gradients of the loss from `forward_objective` by the hand-derived chain rule."""
+    s = saved
+    g_fused = s.coeff[:, None] * _entropy_score_grad(s.fused, s.kappa)
+    g_sims = np.repeat(s.lam * g_fused / s.n_sel, s.n_sel, axis=1)
+    g_base = (1.0 - s.lam) * g_fused
 
-    def grab(name: str) -> np.ndarray:
-        node = tape.leaves[name]
-        if node.grad is None:
-            return np.zeros_like(node.value)
-        return np.asarray(node.grad, dtype=float)
+    g_unit = g_sims @ s.unit_prompts + g_base @ s.class_dirs
+    g_prompts = _unit_rows_pullback(g_sims.T @ s.unit_features, s.unit_prompts, s.prompt_norms)
+    g_adapted = _unit_rows_pullback(g_unit, s.unit_features, s.feature_norms)
 
+    g_pre = (g_adapted @ s.w_up.T) * gelu_grad(s.pre)
     return Gradients(
-        w_down=grab("w_down"),
-        b_down=grab("b_down"),
-        w_up=grab("w_up"),
-        b_up=grab("b_up"),
-        delta=grab("delta"),
+        w_down=s.features.T @ g_pre,
+        b_down=g_pre.sum(axis=0),
+        w_up=s.hidden.T @ g_adapted,
+        b_up=g_adapted.sum(axis=0),
+        delta=g_prompts.sum(axis=0),
     )
 
 
@@ -307,15 +199,15 @@ def fd_check(
     constants: ObjectiveConstants,
     eps: float = 1e-5,
 ) -> float:
-    """Max relative error between tape gradients and central differences.
+    """Max relative error between closed-form gradients and central differences.
 
     The error for one coordinate is |analytic - numeric| / max(1, |numeric|);
     the maximum over every adapter and residual coordinate comes back.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps must be in [1e-7, 1e-3]: {eps}")
-    _, tape = forward_objective(proposals, pool, state, constants)
-    grads = backward(tape)
+    _, saved = forward_objective(proposals, pool, state, constants)
+    grads = backward(saved)
     pairs = [
         (state.phi.w_down, grads.w_down),
         (state.phi.b_down, grads.b_down),

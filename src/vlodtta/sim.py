@@ -23,7 +23,6 @@ __all__ = [
     "ShiftSpec",
     "SimConfig",
     "World",
-    "Scene",
     "Suite",
     "gen_world",
     "gen_scene_proposals",
@@ -126,14 +125,6 @@ class World:
     pool: PromptPool
     aligned: np.ndarray           # (K, n_aligned) prompt slots built along the shift direction
     qualities: np.ndarray         # (T,) perturbation magnitude per prompt slot
-
-
-@dataclass(frozen=True)
-class Scene:
-    """Image extent plus the annotated objects in it."""
-
-    extent: tuple[int, int]
-    objects: tuple[GroundTruth, ...]
 
 
 @dataclass(frozen=True)
@@ -263,7 +254,7 @@ def _mixed_features(
 
 def gen_scene_proposals(
     seed: int, cfg: SimConfig, world: World, shift: ShiftSpec
-) -> tuple[Scene, ProposalSet, list[GroundTruth]]:
+) -> tuple[ProposalSet, list[GroundTruth]]:
     """One scene: objects with proposal clusters, distractors, and background.
 
     Each object's proposals mix the object's shifted prototype with unit
@@ -327,8 +318,7 @@ def gen_scene_proposals(
         features=np.concatenate(feat_chunks, axis=0),
         class_embeddings=world.class_embeddings,
     )
-    scene = Scene(extent=cfg.extent, objects=tuple(gts))
-    return scene, proposals, gts
+    return proposals, gts
 
 
 def make_suite(base_seed: int, n_scenes: int, cfg: SimConfig, shift: ShiftSpec) -> Suite:
@@ -338,6 +328,6 @@ def make_suite(base_seed: int, n_scenes: int, cfg: SimConfig, shift: ShiftSpec) 
     world = gen_world(base_seed, cfg, shift)
     scenes = []
     for i in range(n_scenes):
-        _, proposals, gts = gen_scene_proposals(base_seed * SEED_SCALE + i, cfg, world, shift)
+        proposals, gts = gen_scene_proposals(base_seed * SEED_SCALE + i, cfg, world, shift)
         scenes.append((proposals, tuple(gts)))
     return Suite(world=world, scenes=tuple(scenes))

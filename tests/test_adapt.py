@@ -35,7 +35,7 @@ def _scene(seed=0, magnitude=0.5):
     sim = SimConfig()
     shift = ShiftSpec(magnitude=magnitude)
     world = gen_world(seed, sim, shift)
-    _, proposals, gts = gen_scene_proposals(seed * 1_000_003, sim, world, shift)
+    proposals, gts = gen_scene_proposals(seed * 1_000_003, sim, world, shift)
     return world, proposals, gts
 
 
@@ -239,8 +239,8 @@ def test_single_step_descends_for_small_enough_lr():
     constants = ObjectiveConstants(
         weights=weights, selections=pre.selections, kept=kept, lam=CFG.lam, kappa=CFG.kappa
     )
-    loss0, tape = forward_objective(proposals, world.pool, state, constants)
-    grads = backward(tape)
+    loss0, saved = forward_objective(proposals, world.pool, state, constants)
+    grads = backward(saved)
     lr = CFG.lr
     for _ in range(20):
         trial = AdaptState.zero_init(proposals.d, CFG.reduction)

@@ -38,8 +38,6 @@ def test_proposal_set_properties():
     assert proposals.n == 7
     assert proposals.d == 5
     assert proposals.num_classes == 3
-    assert len(proposals.box_objects()) == 7
-    assert proposals.box_objects()[0].x2 > proposals.box_objects()[0].x1
 
 
 def test_proposal_set_allows_empty():
@@ -50,7 +48,6 @@ def test_proposal_set_allows_empty():
         class_embeddings=normalize_rows(np.random.default_rng(1).normal(size=(3, 5))),
     )
     assert empty.n == 0
-    assert empty.box_objects() == []
 
 
 def test_proposal_set_rejects_bad_shapes():

@@ -1,5 +1,5 @@
-"""Tape autodiff tests: per-primitive finite differences, a hand-built golden
-fixture with a loop-based oracle, exact reductions, and a mutation probe."""
+"""Closed-form gradient tests: a hand-built golden fixture with a loop-based
+oracle, finite-difference checks, exact reductions, and a mutation probe."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from vlodtta.checks import random_objective_instance
 from vlodtta.data import PromptPool, ProposalSet
 from vlodtta.grad import (
     ObjectiveConstants,
-    Tape,
     backward,
     fd_check,
     forward_objective,
@@ -23,14 +22,16 @@ from vlodtta.grad import (
 )
 from vlodtta.scoring import detector_scores, entropy, posterior
 
-# frozen from the loop-based oracle below; the tape reproduced it bit-for-bit
+# frozen from the loop-based oracle below; forward_objective reproduces it bit-for-bit
 GOLDEN_LOSS = 0.07258398173920992
 
 
 # -- small helpers --------------------------------------------------------- #
 
 def _numeric_grads(build, arrays, eps=1e-6):
-    """Central differences of a scalar-valued builder over its leaf arrays."""
+    """Central differences of a scalar-valued builder over its leaf arrays.
+
+    The arrays are perturbed in place, one coordinate at a time."""
     out = []
     for target in range(len(arrays)):
         grad = np.zeros_like(arrays[target])
@@ -46,33 +47,6 @@ def _numeric_grads(build, arrays, eps=1e-6):
             gflat[i] = (hi - lo) / (2.0 * eps)
         out.append(grad)
     return out
-
-
-def _check_primitive(build_tape, arrays, tol=1e-6):
-    """build_tape(tape, leaves) must return the scalar output node."""
-
-    def forward_value(arrs):
-        tape = Tape()
-        leaves = [tape.leaf(f"x{i}", a) for i, a in enumerate(arrs)]
-        return float(build_tape(tape, leaves).value)
-
-    tape = Tape()
-    leaves = [tape.leaf(f"x{i}", a) for i, a in enumerate(arrays)]
-    tape.output = build_tape(tape, leaves)
-    tape.run_backward()
-    numeric = _numeric_grads(forward_value, arrays)
-    for leaf, num in zip(leaves, numeric):
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        err = np.max(np.abs(analytic - num) / np.maximum(1.0, np.abs(num)))
-        assert err <= tol, f"max rel err {err:.3e}"
-
-
-def _rng_arrays(seed, *shapes):
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(-1.0, 1.0, size=s) for s in shapes]
-
-
-_W = np.array([1.0, 2.0, 0.5, 1.5, 0.7])
 
 
 # -- gelu ------------------------------------------------------------------- #
@@ -93,69 +67,6 @@ def test_gelu_grad_matches_fd():
     eps = 1e-6
     fd = (gelu(xs + eps) - gelu(xs - eps)) / (2 * eps)
     np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-8)
-
-
-# -- per-primitive finite differences -------------------------------------- #
-
-def test_matmul_grad():
-    a, b = _rng_arrays(1, (5, 3), (3, 4))
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(t.softmax_entropy(t.matmul(lv[0], lv[1]), 7.0), _W),
-        [a, b],
-    )
-
-
-def test_matmul_transpose_b_grad():
-    a, b = _rng_arrays(2, (5, 3), (4, 3))
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(
-            t.softmax_entropy(t.matmul(lv[0], lv[1], transpose_b=True), 7.0), _W
-        ),
-        [a, b],
-    )
-
-
-def test_add_and_row_vector_grad():
-    a, b, v = _rng_arrays(3, (5, 4), (5, 4), (4,))
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(
-            t.softmax_entropy(t.add_row_vector(t.add(lv[0], lv[1]), lv[2]), 5.0), _W
-        ),
-        [a, b, v],
-    )
-
-
-def test_gelu_node_grad():
-    (a,) = _rng_arrays(4, (5, 4))
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(t.softmax_entropy(t.gelu(lv[0]), 6.0), _W),
-        [a],
-    )
-
-
-def test_normalize_rows_grad():
-    (a,) = _rng_arrays(5, (5, 4))
-    a += np.sign(a.sum(axis=1, keepdims=True)) * 0.5  # keep rows away from zero
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(t.softmax_entropy(t.normalize_rows(lv[0]), 6.0), _W),
-        [a],
-    )
-
-
-def test_mix_grad():
-    a, b = _rng_arrays(6, (5, 4), (5, 4))
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(t.softmax_entropy(t.mix(lv[0], lv[1], 0.3), 6.0), _W),
-        [a, b],
-    )
-
-
-def test_weighted_mean_grad():
-    (a,) = _rng_arrays(7, (5, 3))
-    _check_primitive(
-        lambda t, lv: t.weighted_mean(t.softmax_entropy(lv[0], 4.0), _W),
-        [a],
-    )
 
 
 # -- golden fixture --------------------------------------------------------- #
@@ -252,12 +163,19 @@ def test_golden_fixture_fd():
     assert fd_check(proposals, pool, state, constants) <= 1e-4
 
 
-def test_replay_is_bit_identical():
+def test_golden_fixture_gradients_match_loop_oracle():
+    # differentiates the scalar-loop oracle, not forward_objective, so a
+    # shared mistake in the vectorized forward pass cannot hide here
     proposals, pool, state, constants = _fixture()
-    loss, tape = forward_objective(proposals, pool, state, constants)
-    assert tape.replay() == loss
-    backward(tape)  # a backward pass must not disturb recorded values
-    assert tape.replay() == loss
+    grads = backward(forward_objective(proposals, pool, state, constants)[1])
+    leaves = [state.phi.w_down, state.phi.b_down, state.phi.w_up, state.phi.b_up, state.delta]
+    numeric = _numeric_grads(lambda _: _oracle_loss(proposals, pool, state, constants), leaves)
+    analytic = [grads.w_down, grads.b_down, grads.w_up, grads.b_up, grads.delta]
+    assert sum(a.size for a in leaves) == 26
+    worst = max(
+        float(np.max(np.abs(a - n) / np.maximum(1.0, np.abs(n)))) for a, n in zip(analytic, numeric)
+    )
+    assert worst <= 1e-7, f"max rel err {worst:.3e}"
 
 
 # -- random-instance checks -------------------------------------------------- #
@@ -322,8 +240,8 @@ def test_lambda_zero_delta_gradient_is_exactly_zero():
         weights=constants.weights, selections=constants.selections,
         kept=constants.kept, lam=0.0, kappa=constants.kappa,
     )
-    _, tape = forward_objective(proposals, pool, state, constants)
-    grads = backward(tape)
+    _, saved = forward_objective(proposals, pool, state, constants)
+    grads = backward(saved)
     assert np.all(grads.delta == 0.0)
     assert np.any(grads.w_up != 0.0)  # the detector branch still trains
 
@@ -352,9 +270,9 @@ def test_uniform_posterior_two_classes_gives_exactly_zero_grads():
     # with two classes p = 0.5 and H = -ln(1/2) are exact floats, so the
     # closed-form entropy gradient cancels to exactly zero
     proposals, pool, state, constants = _uniform_instance(k=2)
-    loss, tape = forward_objective(proposals, pool, state, constants)
+    loss, saved = forward_objective(proposals, pool, state, constants)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
-    grads = backward(tape)
+    grads = backward(saved)
     for g in (grads.w_down, grads.b_down, grads.w_up, grads.b_up, grads.delta):
         assert np.all(g == 0.0)
 
@@ -362,9 +280,9 @@ def test_uniform_posterior_two_classes_gives_exactly_zero_grads():
 def test_uniform_posterior_three_classes_grads_vanish():
     # p = 1/3 is not an exact float, so only near-zero survives the rounding
     proposals, pool, state, constants = _uniform_instance(k=3)
-    loss, tape = forward_objective(proposals, pool, state, constants)
+    loss, saved = forward_objective(proposals, pool, state, constants)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
-    grads = backward(tape)
+    grads = backward(saved)
     for g in (grads.w_down, grads.b_down, grads.w_up, grads.b_up, grads.delta):
         assert np.max(np.abs(g)) <= 1e-14
 
@@ -375,10 +293,10 @@ def test_weight_doubling_is_exactly_invariant():
         weights=2.0 * constants.weights, selections=constants.selections,
         kept=constants.kept, lam=constants.lam, kappa=constants.kappa,
     )
-    loss_a, tape_a = forward_objective(proposals, pool, state, constants)
-    loss_b, tape_b = forward_objective(proposals, pool, state, doubled)
+    loss_a, saved_a = forward_objective(proposals, pool, state, constants)
+    loss_b, saved_b = forward_objective(proposals, pool, state, doubled)
     assert loss_a == loss_b
-    ga, gb = backward(tape_a), backward(tape_b)
+    ga, gb = backward(saved_a), backward(saved_b)
     for name in ("w_down", "b_down", "w_up", "b_up", "delta"):
         np.testing.assert_array_equal(getattr(ga, name), getattr(gb, name))
 

@@ -11,7 +11,7 @@ import pytest
 
 from vlodtta.adapt import AdaptState, EpisodeConfig, fused_scores, run_baseline
 from vlodtta.evaluation import evaluate
-from vlodtta.geometry import iou
+from vlodtta.geometry import Box, iou
 from vlodtta.sim import (
     SEED_SCALE,
     ShiftSpec,
@@ -38,12 +38,12 @@ def test_world_is_deterministic():
 def test_scene_is_deterministic():
     shift = ShiftSpec(magnitude=0.5)
     world = gen_world(0, SIM, shift)
-    _, pa, gta = gen_scene_proposals(7, SIM, world, shift)
-    _, pb, gtb = gen_scene_proposals(7, SIM, world, shift)
+    pa, gta = gen_scene_proposals(7, SIM, world, shift)
+    pb, gtb = gen_scene_proposals(7, SIM, world, shift)
     np.testing.assert_array_equal(pa.boxes, pb.boxes)
     np.testing.assert_array_equal(pa.features, pb.features)
     assert gta == gtb
-    _, pc, _ = gen_scene_proposals(8, SIM, world, shift)
+    pc, _ = gen_scene_proposals(8, SIM, world, shift)
     assert not np.array_equal(pa.boxes, pc.boxes)
 
 
@@ -54,7 +54,7 @@ def test_world_and_scene_rows_are_unit():
     np.testing.assert_allclose(
         np.linalg.norm(world.pool.embeddings, axis=-1), 1.0, atol=1e-12
     )
-    _, proposals, _ = gen_scene_proposals(2, SIM, world, shift)
+    proposals, _ = gen_scene_proposals(2, SIM, world, shift)
     np.testing.assert_allclose(np.linalg.norm(proposals.features, axis=-1), 1.0, atol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_aligned_slots_point_along_shift_direction():
 def test_default_profile_seed0_bounds_and_coverage():
     shift = ShiftSpec(magnitude=0.5)
     world = gen_world(0, SIM, shift)
-    scene, proposals, gts = gen_scene_proposals(0, SIM, world, shift)
+    proposals, gts = gen_scene_proposals(0, SIM, world, shift)
     n_obj = len(gts)
     assert SIM.objects_min <= n_obj <= SIM.objects_max
     lo = n_obj * SIM.proposals_min + SIM.background
@@ -116,7 +116,7 @@ def test_default_profile_seed0_bounds_and_coverage():
     assert np.all(proposals.boxes[:, 0] >= 0) and np.all(proposals.boxes[:, 1] >= 0)
     assert np.all(proposals.boxes[:, 2] <= SIM.extent[0])
     assert np.all(proposals.boxes[:, 3] <= SIM.extent[1])
-    box_objs = proposals.box_objects()
+    box_objs = [Box(*row) for row in proposals.boxes.tolist()]
     for gt in gts:
         best = max(iou(gt.box, b) for b in box_objs)
         assert best >= 0.5, f"object {gt} has no proposal above IoU 0.5"
@@ -126,7 +126,7 @@ def test_make_suite_seed_derivation():
     shift = ShiftSpec(magnitude=0.5)
     suite = make_suite(3, 4, SIM, shift)
     assert len(suite.scenes) == 4
-    _, direct, _ = gen_scene_proposals(3 * SEED_SCALE + 2, SIM, suite.world, shift)
+    direct, _ = gen_scene_proposals(3 * SEED_SCALE + 2, SIM, suite.world, shift)
     np.testing.assert_array_equal(suite.scenes[2][0].features, direct.features)
 
 
@@ -168,7 +168,7 @@ def test_selection_recovers_aligned_prompts_under_shift():
         fractions = []
         for seed in range(20):
             world = gen_world(seed, SIM, shift)
-            _, proposals, _ = gen_scene_proposals(seed * SEED_SCALE, SIM, world, shift)
+            proposals, _ = gen_scene_proposals(seed * SEED_SCALE, SIM, world, shift)
             state = AdaptState.zero_init(proposals.d, cfg.reduction)
             scores = fused_scores(proposals, world.pool, state.phi, state.delta, cfg)
             for k in range(SIM.num_classes):
