@@ -232,11 +232,12 @@ def _predict(fused: np.ndarray, boxes: np.ndarray, cfg: EpisodeConfig) -> list[D
     probs = scoring.posterior(fused, cfg.kappa)
     conf = probs.max(axis=-1)
     labels = probs.argmax(axis=-1)
-    dets = [
+    idx = np.flatnonzero(conf >= cfg.score_thresh)
+    kept = idx[geometry.nms(boxes[idx], conf[idx], labels[idx], cfg.nms_iou)]
+    return [
         Detection(box=Box(*boxes[i]), class_id=int(labels[i]), score=float(conf[i]))
-        for i in np.flatnonzero(conf >= cfg.score_thresh)
+        for i in kept
     ]
-    return geometry.nms(dets, cfg.nms_iou, class_wise=True)
 
 
 def _empty_trace() -> EpisodeTrace:
@@ -301,15 +302,13 @@ def adapt_episode(
 
     comp_ids, first = np.unique(assignment.component_id, return_index=True)
     comp_sizes = assignment.component_size[first]
-    histogram: dict[int, int] = {}
-    for s in comp_sizes.tolist():
-        histogram[int(s)] = histogram.get(int(s), 0) + 1
+    sizes, counts = np.unique(comp_sizes, return_counts=True)
     trace = EpisodeTrace(
         loss=loss,
         grad_norms=grads.norms(),
         selections=tuple(tuple(int(t) for t in row) for row in pre.selections),
         cluster_count=int(comp_ids.size),
-        cluster_sizes=histogram,
+        cluster_sizes=dict(zip(sizes.tolist(), counts.tolist())),
         pre_score_range=(float(pre.fused.min()), float(pre.fused.max())),
         post_score_range=(float(post.fused.min()), float(post.fused.max())),
         detections=tuple(detections),

@@ -38,57 +38,37 @@ def predicted_classes(scores: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(scores, dtype=float), axis=-1)
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1; roots stay at the smallest member index."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _as_box_array(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        return np.asarray(boxes, dtype=float).reshape(-1, 4)
-    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=float).reshape(-1, 4)
-
-
 def build_class_graphs(
     boxes: Sequence[Box] | np.ndarray, classes: np.ndarray, theta: float
 ) -> ClusterAssignment:
     """Connected components of the per-class graphs with edges where IoU >= theta.
 
-    Proposals of different predicted classes are never connected. Component
-    ids equal the smallest member index, so labels do not depend on how the
-    scan visits pairs.
+    Proposals of different predicted classes are never connected. Labels
+    come from min-label propagation over the edge list with pointer
+    jumping, so each component id is its smallest member index and does
+    not depend on the order of the edges.
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1]: {theta}")
-    arr = _as_box_array(boxes)
+    overlap = iou_matrix(boxes)
     classes = np.asarray(classes, dtype=int)
-    if arr.shape[0] != classes.shape[0]:
-        raise ValueError(f"{arr.shape[0]} boxes vs {classes.shape[0]} classes")
-    n = arr.shape[0]
-    uf = _UnionFind(n)
-    for c in np.unique(classes):
-        idx = np.flatnonzero(classes == c)
-        if idx.size < 2:
-            continue
-        overlap = iou_matrix(arr[idx])
-        ii, jj = np.nonzero(np.triu(overlap >= theta, k=1))
-        for a, b in zip(idx[ii], idx[jj]):
-            uf.union(int(a), int(b))
-    component_id = np.array([uf.find(i) for i in range(n)], dtype=int)
-    sizes = np.bincount(component_id, minlength=max(n, 1))[component_id] if n else np.zeros(0, int)
+    n = overlap.shape[0]
+    if n != classes.shape[0]:
+        raise ValueError(f"{n} boxes vs {classes.shape[0]} classes")
+    linked = (classes[:, None] == classes[None, :]) & (overlap >= theta)
+    ii, jj = np.nonzero(np.triu(linked, k=1))
+    component_id = np.arange(n)
+    while True:
+        # labels only decrease and always name a member, so at the fixed
+        # point each component carries its smallest index
+        nxt = component_id.copy()
+        np.minimum.at(nxt, ii, component_id[jj])
+        np.minimum.at(nxt, jj, component_id[ii])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, component_id):
+            break
+        component_id = nxt
+    sizes = np.bincount(component_id, minlength=n)[component_id]
     return ClusterAssignment(classes=classes, component_id=component_id, component_size=sizes)
 
 

@@ -70,34 +70,29 @@ def iou_matrix(boxes) -> np.ndarray:
     return np.where(inter > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
-def nms(dets: list[Detection], iou_thresh: float, class_wise: bool = True) -> list[Detection]:
-    """Greedy non-maximum suppression in descending score order.
+def nms(boxes, scores: np.ndarray, classes: np.ndarray, iou_thresh: float) -> np.ndarray:
+    """Greedy non-maximum suppression; kept indices in descending score order.
 
-    A detection is dropped iff an already-kept detection (of the same class
-    when class_wise) overlaps it with IoU >= iou_thresh. Score ties are
-    broken by lower input index.
+    Box i is dropped iff an already-kept box of the same class overlaps it
+    with IoU >= iou_thresh. Score ties are broken by lower input index.
+    Class-agnostic suppression is one class for every box.
     """
     if not (0.0 <= iou_thresh <= 1.0):
         raise ValueError(f"iou_thresh must be in [0, 1]: {iou_thresh}")
-    if not dets:
-        return []
-    boxes = np.array([[d.box.x1, d.box.y1, d.box.x2, d.box.y2] for d in dets])
-    scores = np.array([d.score for d in dets])
-    classes = np.array([d.class_id for d in dets])
-    order = np.lexsort((np.arange(len(dets)), -scores))
     overlap = iou_matrix(boxes)
+    scores = np.asarray(scores, dtype=float)
+    classes = np.asarray(classes)
+    if not (scores.shape == classes.shape == overlap.shape[:1]):
+        raise ValueError(f"{overlap.shape[0]} boxes vs {scores.shape} scores vs {classes.shape} classes")
+    order = np.lexsort((np.arange(scores.size), -scores))
+    blocks = (overlap >= iou_thresh) & (classes[:, None] == classes[None, :])
+    blocked = np.zeros(scores.size, dtype=bool)
     kept: list[int] = []
-    for i in order:
-        blocked = False
-        for j in kept:
-            if class_wise and classes[j] != classes[i]:
-                continue
-            if overlap[j, i] >= iou_thresh:
-                blocked = True
-                break
-        if not blocked:
-            kept.append(int(i))
-    return [dets[i] for i in kept]
+    for i in order.tolist():
+        if not blocked[i]:
+            kept.append(i)
+            blocked |= blocks[i]
+    return np.array(kept, dtype=int)
 
 
 def top_m_filter(scores: np.ndarray, m: int) -> list[int]:

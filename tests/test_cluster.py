@@ -75,12 +75,26 @@ def test_theta_one_only_exact_duplicates_merge():
     assert out.component_id[2] != out.component_id[0]
 
 
+def _shuffled_chain(rng, n):
+    # equal boxes 1 px apart: IoU 9/11 with each neighbour, 8/12 two apart,
+    # so at theta 0.8 one path through n boxes listed in random order
+    x = rng.permutation(n).astype(float)[:, None]
+    boxes = np.concatenate([x, np.zeros((n, 1)), x + 10.0, np.full((n, 1), 10.0)], axis=1)
+    return boxes, np.zeros(n, dtype=int)
+
+
 def test_components_match_dfs_reference():
     rng = np.random.default_rng(42)
+    cases = []
     for trial in range(60):
         n = int(rng.integers(1, 50))
         boxes, classes = _random_instance(rng, n)
-        theta = float(rng.choice([0.1, 0.3, 0.5, 0.7]))
+        cases.append((boxes, classes, float(rng.choice([0.1, 0.3, 0.5, 0.7]))))
+    # the slowest input for label propagation, and one instance at top_m scale
+    cases.append((*_shuffled_chain(rng, 600), 0.8))
+    cases.append((*_random_instance(rng, 600), 0.5))
+    for trial, (boxes, classes, theta) in enumerate(cases):
+        n = len(boxes)
         got = build_class_graphs(boxes, classes, theta)
         box_objs = [Box(*row) for row in boxes]
         want_id = np.empty(n, dtype=int)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlodtta.checks import reference_nms
+from vlodtta.checks import nms_detections, reference_nms
 from vlodtta.geometry import Box, Detection, iou, iou_matrix, nms, top_m_filter
 
 
@@ -154,7 +154,7 @@ def test_nms_matches_reference():
         ]
         thresh = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         class_wise = bool(rng.integers(0, 2))
-        got = nms(dets, thresh, class_wise=class_wise)
+        got = nms_detections(dets, thresh, None if class_wise else np.zeros(n, int))
         want = reference_nms(dets, thresh, class_wise=class_wise)
         assert got == want, f"trial {trial}"
 
@@ -165,20 +165,20 @@ def test_nms_keeps_all_when_disjoint():
         Detection(Box(10, 10, 11, 11), 0, 0.8),
         Detection(Box(20, 20, 21, 21), 0, 0.7),
     ]
-    assert len(nms(dets, 0.5)) == 3
+    assert len(nms_detections(dets, 0.5)) == 3
 
 
 def test_nms_classwise_never_suppresses_across_classes():
     b = Box(0, 0, 10, 10)
     dets = [Detection(b, 0, 0.9), Detection(b, 1, 0.8)]
-    assert len(nms(dets, 0.5, class_wise=True)) == 2
-    assert len(nms(dets, 0.5, class_wise=False)) == 1
+    assert len(nms_detections(dets, 0.5)) == 2
+    assert len(nms_detections(dets, 0.5, np.zeros(2, int))) == 1
 
 
 def test_nms_tie_break_keeps_lower_index():
     b = Box(0, 0, 10, 10)
     dets = [Detection(b, 0, 0.5), Detection(b, 0, 0.5)]
-    kept = nms(dets, 0.5)
+    kept = nms_detections(dets, 0.5)
     assert kept == [dets[0]]
 
 
@@ -188,16 +188,24 @@ def test_nms_output_sorted_by_score():
         Detection(b, int(rng.integers(0, 3)), float(rng.uniform(0, 1)))
         for b in _boxes(40, rng)
     ]
-    kept = nms(dets, 0.4)
+    kept = nms_detections(dets, 0.4)
     scores = [d.score for d in kept]
     assert scores == sorted(scores, reverse=True)
 
 
 def test_nms_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        nms([], -0.1)
+        nms_detections([], -0.1)
     with pytest.raises(ValueError):
-        nms([], 1.5)
+        nms_detections([], 1.5)
+
+
+def test_nms_rejects_mismatched_lengths():
+    boxes = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 2.0, 3.0, 3.0]])
+    with pytest.raises(ValueError):
+        nms(boxes, np.ones(2), np.zeros(1, int), 0.5)
+    with pytest.raises(ValueError):
+        nms(boxes, np.ones(3), np.zeros(3, int), 0.5)
 
 
 def test_top_m_returns_best_rows():
