@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import Box, overlap_pairs
+from .geometry import iou_matrix  # unused: perfbench's tracer looks up cluster.iou_matrix by name
 
 __all__ = [
     "DegenerateWeights",
@@ -43,20 +44,17 @@ def build_class_graphs(
 ) -> ClusterAssignment:
     """Connected components of the per-class graphs with edges where IoU >= theta.
 
-    Proposals of different predicted classes are never connected. Labels
-    come from min-label propagation over the edge list with pointer
+    Proposals of different predicted classes are never connected: the edge
+    list is geometry.overlap_pairs, which tests same-class pairs only.
+    Labels come from min-label propagation over the edge list with pointer
     jumping, so each component id is its smallest member index and does
     not depend on the order of the edges.
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1]: {theta}")
-    overlap = iou_matrix(boxes)
     classes = np.asarray(classes, dtype=int)
-    n = overlap.shape[0]
-    if n != classes.shape[0]:
-        raise ValueError(f"{n} boxes vs {classes.shape[0]} classes")
-    linked = (classes[:, None] == classes[None, :]) & (overlap >= theta)
-    ii, jj = np.nonzero(np.triu(linked, k=1))
+    ii, jj = overlap_pairs(boxes, classes, theta)
+    n = classes.shape[0]
     component_id = np.arange(n)
     while True:
         # labels only decrease and always name a member, so at the fixed

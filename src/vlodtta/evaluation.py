@@ -94,23 +94,20 @@ def evaluate(
     ap = np.zeros((len(classes), IOU_THRESHOLDS.size))
     for ci, cls in enumerate(classes):
         per_image = []
+        keys = []  # (-score, image, index) of each detection, in match_detections' visiting order
         n_gt = 0
-        for dets, gts in zip(detections, ground_truths):
+        for img, (dets, gts) in enumerate(zip(detections, ground_truths)):
             dc = [d for d in dets if d.class_id == cls]
             gc = [gt for gt in gts if gt.class_id == cls]
+            order = sorted(range(len(dc)), key=lambda i: (-dc[i].score, i))
+            keys.extend((-dc[di].score, img, di) for di in order)
             per_image.append((dc, gc))
             n_gt += len(gc)
+        # the pooled ranking does not depend on the IoU threshold
+        ranking = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
         for ti, thresh in enumerate(IOU_THRESHOLDS):
-            records = []
-            for img, (dc, gc) in enumerate(per_image):
-                flags, _ = match_detections(dc, gc, float(thresh))
-                order = sorted(range(len(dc)), key=lambda i: (-dc[i].score, i))
-                for rank, di in enumerate(order):
-                    records.append((-dc[di].score, img, di, bool(flags[rank])))
-            records.sort()
-            ap[ci, ti] = average_precision(
-                np.array([r[3] for r in records], dtype=bool), n_gt
-            )
+            flags = [match_detections(dc, gc, float(thresh))[0] for dc, gc in per_image]
+            ap[ci, ti] = average_precision(np.concatenate(flags)[ranking], n_gt)
     per_class = {cls: float(ap[ci].mean()) for ci, cls in enumerate(classes)}
     return APReport(
         mean_ap=float(ap.mean()),

@@ -113,19 +113,18 @@ def aggregate_selected(z: np.ndarray, selections: np.ndarray) -> np.ndarray:
         raise ValueError(f"incompatible shapes {z.shape}, {sel.shape}")
     if sel.min() < 0 or sel.max() >= z.shape[2]:
         raise ValueError("selection index out of range")
-    n, num_classes, pool_size = z.shape
     sorted_sel = np.sort(sel, axis=-1)
-    for k in range(num_classes):
-        if np.unique(sorted_sel[k]).size != sorted_sel.shape[1]:
-            raise ValueError(f"duplicate prompt index for class {k}")
-    if sorted_sel.shape[1] == pool_size:
+    duplicated = (np.diff(sorted_sel, axis=-1) == 0).any(axis=-1)
+    if duplicated.any():
+        raise ValueError(f"duplicate prompt index for class {int(np.argmax(duplicated))}")
+    if sorted_sel.shape[1] == z.shape[2]:
         # a full selection must reduce in the same order as the plain mean,
         # so the rho = 1 case matches it bit for bit
         return z.mean(axis=-1)
-    out = np.empty((n, num_classes))
-    for k in range(num_classes):
-        out[:, k] = z[:, k, sorted_sel[k]].mean(axis=-1)
-    return out
+    pooled = z[:, np.arange(z.shape[1])[:, None], sorted_sel].mean(axis=-1)
+    # the gather comes back transposed; row sums over a transposed result
+    # would round differently downstream, so hand back C order
+    return np.ascontiguousarray(pooled)
 
 
 def fuse(prompt_score: np.ndarray, base_score: np.ndarray, lam: float) -> np.ndarray:

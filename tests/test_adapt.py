@@ -22,17 +22,17 @@ from vlodtta.adapt import (
     fused_scores,
     run_baseline,
 )
-from vlodtta.checks import nms_detections
+from vlodtta.checks import nms_detections, reference_components, reference_nms
 from vlodtta.data import ProposalSet
 from vlodtta.grad import Gradients, ObjectiveConstants, backward, forward_objective
 from vlodtta.scoring import posterior
 from vlodtta.sim import ShiftSpec, SimConfig, gen_scene_proposals, gen_world
 
 CFG = EpisodeConfig()
+COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
 
 
-def _scene(seed=0, magnitude=0.5):
-    sim = SimConfig()
+def _scene(seed=0, magnitude=0.5, sim=SimConfig()):
     shift = ShiftSpec(magnitude=magnitude)
     world = gen_world(seed, sim, shift)
     proposals, gts = gen_scene_proposals(seed * 1_000_003, sim, world, shift)
@@ -204,6 +204,37 @@ def test_episode_details_dict():
     sizes = [row["size"] for row in details["components"]]
     assert sizes == sorted(sizes, reverse=True)
     assert all(set(row) == {"class_id", "size", "max_score"} for row in details["components"])
+
+
+def test_coco_scale_components_and_nms_match_references():
+    # 80 classes, and top_m cuts the proposals to 600: clustering and NMS
+    # at the scale where most proposal pairs differ in class
+    world, proposals, _ = _scene(sim=COCO_SIM)
+    details = {}
+    dets, _ = adapt_episode(proposals, world.pool, CFG, details=details)
+    kept, assignment = details["kept"], details["assignment"]
+    assert kept.size == CFG.top_m < proposals.n
+    want_id = np.empty(kept.size, dtype=int)
+    want_size = np.empty(kept.size, dtype=int)
+    box_objs = [vlodtta.geometry.Box(*row) for row in proposals.boxes[kept]]
+    for members in reference_components(box_objs, assignment.classes, CFG.theta):
+        want_id[list(members)] = min(members)
+        want_size[list(members)] = len(members)
+    np.testing.assert_array_equal(assignment.component_id, want_id)
+    np.testing.assert_array_equal(assignment.component_size, want_size)
+    assert len(set(assignment.classes.tolist())) > 4
+
+    probs = posterior(details["post"].fused, CFG.kappa)
+    conf, labels = probs.max(axis=-1), probs.argmax(axis=-1)
+    candidates = [
+        vlodtta.geometry.Detection(
+            box=vlodtta.geometry.Box(*proposals.boxes[i]), class_id=int(labels[i]), score=float(conf[i])
+        )
+        for i in np.flatnonzero(conf >= CFG.score_thresh)
+    ]
+    want = reference_nms(candidates, CFG.nms_iou)
+    assert nms_detections(candidates, CFG.nms_iou) == want
+    assert dets == want
 
 
 def test_post_pass_reuses_frozen_selection():

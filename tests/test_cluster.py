@@ -89,7 +89,7 @@ def test_components_match_dfs_reference():
     for trial in range(60):
         n = int(rng.integers(1, 50))
         boxes, classes = _random_instance(rng, n)
-        cases.append((boxes, classes, float(rng.choice([0.1, 0.3, 0.5, 0.7]))))
+        cases.append((boxes, classes, float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]))))
     # the slowest input for label propagation, and one instance at top_m scale
     cases.append((*_shuffled_chain(rng, 600), 0.8))
     cases.append((*_random_instance(rng, 600), 0.5))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlodtta.checks import nms_detections, reference_nms
-from vlodtta.geometry import Box, Detection, iou, iou_matrix, nms, top_m_filter
+from vlodtta.geometry import Box, Detection, iou, iou_matrix, nms, overlap_pairs, top_m_filter
 
 
 def _cell_count_iou(a: Box, b: Box) -> float:
@@ -143,6 +143,40 @@ def test_iou_matrix_empty():
     assert iou_matrix([]).shape == (0, 0)
 
 
+def _rows(boxes: list[Box]) -> np.ndarray:
+    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes]).reshape(-1, 4)
+
+
+def test_overlap_pairs_matches_dense_oracle():
+    rng = np.random.default_rng(29)
+    one_class = _rows(_boxes(600, rng))
+    one_class[1::2] = one_class[::2]  # exact duplicates: IoU 1
+    # edge-sharing boxes overlap with IoU exactly 0
+    touching = np.array([[0, 0, 2, 2], [2, 0, 4, 2], [0, 2, 2, 4], [2, 2, 4, 4], [0, 0, 2, 2]], float)
+    cases = [
+        (np.zeros((0, 4)), np.zeros(0, int)),
+        (np.array([[0.0, 0.0, 1.0, 1.0]]), np.zeros(1, int)),
+        (_boxes(30, rng), rng.integers(0, 3, 30)),
+        (one_class, np.zeros(600, int)),
+        (_rows(_boxes(800, rng)), rng.integers(0, 80, 800)),
+        (touching, np.array([0, 0, 0, 0, 0])),
+        (touching, np.array([1, 0, 1, 0, 1])),
+    ]
+    for case, (boxes, classes) in enumerate(cases):
+        same_class = classes[:, None] == classes[None, :]
+        for thresh in (0.0, 0.5, 1.0):
+            want_i, want_j = np.nonzero(np.triu(same_class & (iou_matrix(boxes) >= thresh), 1))
+            ii, jj = overlap_pairs(boxes, classes, thresh)
+            order = np.lexsort((jj, ii))
+            np.testing.assert_array_equal(ii[order], want_i, err_msg=f"case {case} at {thresh}")
+            np.testing.assert_array_equal(jj[order], want_j, err_msg=f"case {case} at {thresh}")
+
+
+def test_overlap_pairs_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        overlap_pairs(np.zeros((2, 4)), np.zeros(3, int), 0.5)
+
+
 def test_nms_matches_reference():
     rng = np.random.default_rng(23)
     for trial in range(60):
@@ -152,7 +186,7 @@ def test_nms_matches_reference():
             Detection(b, int(rng.integers(0, 4)), float(rng.uniform(0, 1)))
             for b in boxes
         ]
-        thresh = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        thresh = float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
         class_wise = bool(rng.integers(0, 2))
         got = nms_detections(dets, thresh, None if class_wise else np.zeros(n, int))
         want = reference_nms(dets, thresh, class_wise=class_wise)

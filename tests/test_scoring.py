@@ -223,10 +223,24 @@ def test_aggregate_selected_subset():
     assert out[1, 1] == (z[1, 1, 1] + z[1, 1, 5]) / 2
 
 
+def test_aggregate_selected_matches_per_class_loop_in_c_order():
+    # the pooled scores feed row-wise softmax sums, which round differently
+    # on a transposed array, so the layout is part of the result
+    rng = np.random.default_rng(28)
+    z = rng.normal(size=(40, 7, 9))
+    sel = np.stack([rng.permutation(9)[:3] for _ in range(7)])
+    out = aggregate_selected(z, sel)
+    assert out.flags["C_CONTIGUOUS"]
+    for k in range(7):
+        np.testing.assert_array_equal(out[:, k], z[:, k, np.sort(sel[k])].mean(axis=-1))
+
+
 def test_aggregate_rejects_duplicates_and_range():
     z = np.zeros((2, 2, 3))
     with pytest.raises(ValueError):
         aggregate_selected(z, np.array([[0, 0], [1, 2]]))
+    with pytest.raises(ValueError, match="class 1"):
+        aggregate_selected(z, np.array([[0, 1], [2, 2]]))
     with pytest.raises(ValueError):
         aggregate_selected(z, np.array([[0, 3], [1, 2]]))
 
