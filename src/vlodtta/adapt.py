@@ -162,10 +162,16 @@ class FusedScores:
 
     adapted: np.ndarray     # (N, d) features after the adapter
     base: np.ndarray        # (N, K) detector cosine scores
-    prompts: np.ndarray     # (N, K, T) prompt cosine scores
     selections: np.ndarray  # (K, n_sel) selected prompt indices
     pooled: np.ndarray      # (N, K) mean over the selected prompts
     fused: np.ndarray       # (N, K) convex combination
+    bank: np.ndarray        # (K, T, d) prompt embeddings the pass scored against
+    delta: np.ndarray       # (d,) prompt residual of the pass
+
+    @property
+    def prompts(self) -> np.ndarray:
+        """(N, K, T) cosines against every prompt; built on demand, for inspection only."""
+        return scoring.prompt_scores(self.adapted, self.bank, self.delta)
 
 
 def fused_scores(
@@ -178,19 +184,22 @@ def fused_scores(
 ) -> FusedScores:
     """Adapter, cosine scores, prompt aggregation, and fusion in one pass.
 
-    When selections is None the prompt sets are chosen from this pass's
-    compatibilities; passing an array reuses a frozen choice.
+    When selections is None the prompt sets are chosen by image
+    compatibility, from the mean unit feature of this pass; passing an
+    array reuses a frozen choice. Only the selected prompts are scored:
+    the (N, K, T) tensor over the whole bank is never built here.
     """
     adapted = apply_adapter(proposals.features, phi)
     base = scoring.detector_scores(adapted, proposals.class_embeddings)
-    prompts = scoring.prompt_scores(adapted, pool.embeddings, delta)
     if selections is None:
-        selections = scoring.select_prompts(scoring.image_prompt_compat(prompts), cfg.rho)
-    pooled = scoring.aggregate_selected(prompts, selections)
+        compat = scoring.prompt_compat(adapted, pool.embeddings, delta)
+        selections = scoring.select_prompts(compat, cfg.rho)
+    chosen = scoring.selected_prompts(pool.embeddings, selections)
+    pooled = scoring.prompt_scores(adapted, chosen, delta).mean(axis=-1)
     fused = scoring.fuse(pooled, base, cfg.lam)
     return FusedScores(
-        adapted=adapted, base=base, prompts=prompts,
-        selections=selections, pooled=pooled, fused=fused,
+        adapted=adapted, base=base, selections=selections, pooled=pooled, fused=fused,
+        bank=pool.embeddings, delta=np.array(delta, dtype=float),
     )
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Box
+from .scoring import EPS, NearZeroRow
 
 __all__ = [
     "GroundTruth",
@@ -18,6 +19,12 @@ __all__ = [
 ]
 
 SCENE_JSON_KEYS = ("d", "K", "T", "boxes", "features", "class_embeddings", "prompt_pool", "gt")
+
+
+def _first_zero_row(m: np.ndarray) -> list[int] | None:
+    """Index of the first vector along the last axis that cannot be normalized, if any."""
+    bad = np.linalg.norm(m, axis=-1) <= EPS
+    return np.argwhere(bad)[0].tolist() if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,9 @@ class PromptPool:
             raise ValueError(f"need K >= 2, T >= 1, d >= 2: {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("embeddings must be finite")
+        zero = _first_zero_row(e)
+        if zero is not None:
+            raise NearZeroRow(f"class {zero[0]} prompt {zero[1]} has norm <= {EPS}")
 
     @property
     def num_classes(self) -> int:
@@ -79,6 +89,10 @@ class ProposalSet:
         for arr in (b, v, t):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("arrays must be finite")
+        for arr, what in ((v, "feature row {}"), (t, "class {} embedding")):
+            zero = _first_zero_row(arr)
+            if zero is not None:
+                raise NearZeroRow(f"{what.format(zero[0])} has norm <= {EPS}")
         if b.shape[0] and not (np.all(b[:, 0] < b[:, 2]) and np.all(b[:, 1] < b[:, 3])):
             raise ValueError("every box needs x1 < x2 and y1 < y2")
 

@@ -14,8 +14,10 @@ __all__ = [
     "posterior",
     "entropy",
     "prompt_scores",
+    "prompt_compat",
     "image_prompt_compat",
     "select_prompts",
+    "selected_prompts",
     "aggregate_selected",
     "fuse",
 ]
@@ -32,7 +34,9 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(norms <= EPS):
-        raise NearZeroRow(f"row norm <= {EPS}; cannot normalize")
+        where = np.argwhere(np.atleast_1d(norms[..., 0] <= EPS))[0].tolist()
+        row = where[0] if len(where) == 1 else tuple(where)
+        raise NearZeroRow(f"row {row} has norm <= {EPS}; cannot normalize")
     return m / norms
 
 
@@ -62,23 +66,48 @@ def entropy(p: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
+def _prompt_inputs(
+    features: np.ndarray, pool: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features (N, d), a (K, T, d) pool and a d-vector delta as float arrays."""
+    v = np.asarray(features, dtype=float)
+    e = np.asarray(pool, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if e.ndim != 3:
+        raise ValueError(f"pool must be (K, T, d): {e.shape}")
+    d = e.shape[2]
+    if v.ndim != 2 or v.shape[1] != d or delta.shape != (d,):
+        raise ValueError(f"incompatible shapes {v.shape}, {e.shape}, {delta.shape}")
+    return v, e, delta
+
+
 def prompt_scores(features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Cosine of each region feature against each residual-shifted prompt.
 
     pool has shape (K, T, d); delta is a single d-vector added to every
     prompt embedding before renormalization. Returns an (N, K, T) tensor.
     """
-    v = np.asarray(features, dtype=float)
-    e = np.asarray(pool, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if e.ndim != 3:
-        raise ValueError(f"pool must be (K, T, d): {e.shape}")
+    v, e, delta = _prompt_inputs(features, pool, delta)
     num_classes, pool_size, d = e.shape
-    if v.ndim != 2 or v.shape[1] != d or delta.shape != (d,):
-        raise ValueError(f"incompatible shapes {v.shape}, {e.shape}, {delta.shape}")
     shifted = normalize_rows(e + delta)
     z = normalize_rows(v) @ shifted.reshape(num_classes * pool_size, d).T
     return z.reshape(v.shape[0], num_classes, pool_size)
+
+
+def prompt_compat(features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Mean prompt score over all proposals, shape (K, T), without the (N, K, T) tensor.
+
+    Cosine is linear in the unit feature, so the proposal mean of the
+    prompt scores is each shifted prompt direction against the mean unit
+    feature. It equals `image_prompt_compat(prompt_scores(...))` up to
+    rounding.
+    """
+    v, e, delta = _prompt_inputs(features, pool, delta)
+    if v.shape[0] < 1:
+        raise ValueError("expected at least one feature row")
+    num_classes, pool_size, d = e.shape
+    shifted = normalize_rows(e + delta).reshape(num_classes * pool_size, d)
+    return (shifted @ normalize_rows(v).mean(axis=0)).reshape(num_classes, pool_size)
 
 
 def image_prompt_compat(z: np.ndarray) -> np.ndarray:
@@ -105,18 +134,36 @@ def select_prompts(compat: np.ndarray, rho: float) -> np.ndarray:
     return np.argsort(-r, axis=1, kind="stable")[:, :n_sel]
 
 
-def aggregate_selected(z: np.ndarray, selections: np.ndarray) -> np.ndarray:
-    """Mean prompt score over each class's selected prompt set."""
-    z = np.asarray(z, dtype=float)
+def _sorted_selection(selections: np.ndarray, num_classes: int, pool_size: int) -> np.ndarray:
+    """Each class's selected prompt indices in ascending order, after validation."""
     sel = np.asarray(selections, dtype=int)
-    if z.ndim != 3 or sel.ndim != 2 or sel.shape[0] != z.shape[1]:
-        raise ValueError(f"incompatible shapes {z.shape}, {sel.shape}")
-    if sel.min() < 0 or sel.max() >= z.shape[2]:
-        raise ValueError("selection index out of range")
+    if sel.ndim != 2 or sel.shape[0] != num_classes:
+        raise ValueError(f"selections must be ({num_classes}, n_sel): {sel.shape}")
+    out_of_range = ((sel < 0) | (sel >= pool_size)).any(axis=-1)
+    if out_of_range.any():
+        raise ValueError(f"selection index out of range for class {int(np.argmax(out_of_range))}")
     sorted_sel = np.sort(sel, axis=-1)
     duplicated = (np.diff(sorted_sel, axis=-1) == 0).any(axis=-1)
     if duplicated.any():
         raise ValueError(f"duplicate prompt index for class {int(np.argmax(duplicated))}")
+    return sorted_sel
+
+
+def selected_prompts(pool: np.ndarray, selections: np.ndarray) -> np.ndarray:
+    """Each class's selected prompt embeddings, shape (K, n_sel, d), in ascending index order."""
+    e = np.asarray(pool, dtype=float)
+    if e.ndim != 3:
+        raise ValueError(f"pool must be (K, T, d): {e.shape}")
+    sorted_sel = _sorted_selection(selections, e.shape[0], e.shape[1])
+    return e[np.arange(e.shape[0])[:, None], sorted_sel]
+
+
+def aggregate_selected(z: np.ndarray, selections: np.ndarray) -> np.ndarray:
+    """Mean prompt score over each class's selected prompt set."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 3:
+        raise ValueError(f"expected an (N, K, T) tensor: {z.shape}")
+    sorted_sel = _sorted_selection(selections, z.shape[1], z.shape[2])
     if sorted_sel.shape[1] == z.shape[2]:
         # a full selection must reduce in the same order as the plain mean,
         # so the rho = 1 case matches it bit for bit

@@ -25,7 +25,14 @@ from vlodtta.adapt import (
 from vlodtta.checks import nms_detections, reference_components, reference_nms
 from vlodtta.data import ProposalSet
 from vlodtta.grad import Gradients, ObjectiveConstants, backward, forward_objective
-from vlodtta.scoring import posterior
+from vlodtta.scoring import (
+    aggregate_selected,
+    image_prompt_compat,
+    posterior,
+    prompt_compat,
+    prompt_scores,
+    select_prompts,
+)
 from vlodtta.sim import ShiftSpec, SimConfig, gen_scene_proposals, gen_world
 
 CFG = EpisodeConfig()
@@ -235,6 +242,72 @@ def test_coco_scale_components_and_nms_match_references():
     want = reference_nms(candidates, CFG.nms_iou)
     assert nms_detections(candidates, CFG.nms_iou) == want
     assert dets == want
+
+
+def _stepped_states(world, proposals):
+    """The zero-init state and the state after the episode's single step."""
+    details = {}
+    adapt_episode(proposals, world.pool, CFG, details=details)
+    stepped = AdaptState.zero_init(proposals.d, CFG.reduction)
+    stepped.step(details["grads"], CFG.lr)
+    return AdaptState.zero_init(proposals.d, CFG.reduction), stepped
+
+
+@pytest.mark.parametrize("sim,n_scenes", [(SimConfig(), 20), (COCO_SIM, 10)], ids=["desk", "coco"])
+def test_compat_and_selected_scoring_match_the_dense_tensor(sim, n_scenes):
+    shift = ShiftSpec(magnitude=0.5)
+    world = gen_world(0, sim, shift)
+    pool = world.pool.embeddings
+    full = EpisodeConfig(rho=1.0)
+    for seed in range(n_scenes):
+        proposals, _ = gen_scene_proposals(seed * 1_000_003, sim, world, shift)
+        for state in _stepped_states(world, proposals):
+            adapted = apply_adapter(proposals.features, state.phi)
+            z = prompt_scores(adapted, pool, state.delta)
+            dense = image_prompt_compat(z)
+            compat = prompt_compat(adapted, pool, state.delta)
+            assert np.max(np.abs(compat - dense)) <= 1e-12
+            sel = select_prompts(compat, CFG.rho)
+            np.testing.assert_array_equal(sel, select_prompts(dense, CFG.rho))
+            scores = fused_scores(proposals, world.pool, state.phi, state.delta, CFG)
+            np.testing.assert_array_equal(scores.selections, sel)
+            np.testing.assert_array_equal(scores.pooled, aggregate_selected(z, sel))
+            all_prompts = fused_scores(proposals, world.pool, state.phi, state.delta, full)
+            np.testing.assert_array_equal(all_prompts.pooled, z.mean(axis=-1))
+
+
+def test_lazy_prompt_tensor_matches_dense_scores():
+    world, proposals, _ = _scene(seed=11)
+    details = {}
+    adapt_episode(proposals, world.pool, CFG, details=details)
+    zero, stepped = _stepped_states(world, proposals)
+    for name, state in (("pre", zero), ("post", stepped)):
+        scores = details[name]
+        want = prompt_scores(scores.adapted, world.pool.embeddings, state.delta)
+        np.testing.assert_array_equal(scores.prompts, want)
+    assert not np.array_equal(details["pre"].prompts, details["post"].prompts)
+
+
+@pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
+def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
+    # both passes together score 2 * N * K * n_sel cosines; the (N, K, T)
+    # tensor over the whole bank is built only when every prompt is selected
+    cosines = []
+    real = vlodtta.scoring.prompt_scores
+
+    def counting(*a, **k):
+        out = real(*a, **k)
+        cosines.append(out.size)
+        return out
+
+    monkeypatch.setattr(vlodtta.scoring, "prompt_scores", counting)
+    world, proposals, _ = _scene(seed=12, sim=sim)
+    n, k, t = proposals.n, world.pool.num_classes, world.pool.pool_size
+    adapt_episode(proposals, world.pool, CFG)
+    assert sum(cosines) == 2 * n * k * math.ceil(CFG.rho * t) < 2 * n * k * t
+    cosines.clear()
+    run_baseline("prompt_average", proposals, world.pool, CFG)
+    assert sum(cosines) == 2 * n * k * t
 
 
 def test_post_pass_reuses_frozen_selection():

@@ -16,7 +16,7 @@ from vlodtta.data import (
     scene_to_json,
 )
 from vlodtta.geometry import Box
-from vlodtta.scoring import normalize_rows
+from vlodtta.scoring import NearZeroRow, normalize_rows
 
 
 def _sample_scene(seed=0, n=7, k=3, t=4, d=5):
@@ -70,6 +70,32 @@ def test_prompt_pool_rejects_small_dims():
         PromptPool(np.ones((3, 0, 8)))
     with pytest.raises(ValueError):
         PromptPool(np.ones((3, 4)))
+
+
+def test_proposal_set_rejects_zero_feature_row():
+    proposals, _, _ = _sample_scene()
+    features = proposals.features.copy()
+    features[[3, 5]] = 0.0
+    with pytest.raises(NearZeroRow, match=r"^feature row 3 "):
+        ProposalSet(proposals.boxes, features, proposals.class_embeddings)
+
+
+def test_proposal_set_rejects_zero_class_embedding():
+    proposals, _, _ = _sample_scene()
+    emb = proposals.class_embeddings.copy()
+    emb[2] = 0.0
+    with pytest.raises(NearZeroRow, match=r"^class 2 embedding "):
+        ProposalSet(proposals.boxes, proposals.features, emb)
+
+
+def test_prompt_pool_rejects_zero_prompt_row():
+    _, pool, _ = _sample_scene()
+    emb = pool.embeddings.copy()
+    emb[1, 3] = 0.0
+    emb[2, 0] = 0.0
+    with pytest.raises(NearZeroRow, match=r"^class 1 prompt 3 "):
+        PromptPool(emb)
+    assert issubclass(NearZeroRow, ValueError)
 
 
 def test_ground_truth_rejects_negative_class():

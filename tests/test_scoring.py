@@ -19,8 +19,10 @@ from vlodtta.scoring import (
     image_prompt_compat,
     normalize_rows,
     posterior,
+    prompt_compat,
     prompt_scores,
     select_prompts,
+    selected_prompts,
 )
 
 
@@ -34,6 +36,15 @@ def test_normalize_rows_unit_norm():
 def test_normalize_rows_rejects_zero_row():
     with pytest.raises(NearZeroRow):
         normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_normalize_rows_names_first_bad_row():
+    with pytest.raises(NearZeroRow, match=r"row 2 "):
+        normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+    bank = np.ones((3, 4, 2))
+    bank[1, 2] = 0.0
+    with pytest.raises(NearZeroRow, match=r"row \(1, 2\) "):
+        normalize_rows(bank)
 
 
 def test_normalize_rows_3d():
@@ -170,6 +181,29 @@ def test_image_prompt_compat_is_proposal_mean():
         image_prompt_compat(np.zeros((0, 3, 5)))
 
 
+def test_prompt_compat_is_proposal_mean_of_prompt_scores():
+    rng = np.random.default_rng(29)
+    features = rng.normal(size=(30, 6))
+    pool = rng.normal(size=(4, 5, 6))
+    delta = rng.normal(size=6) * 0.1
+    r = prompt_compat(features, pool, delta)
+    assert r.shape == (4, 5)
+    np.testing.assert_allclose(
+        r, image_prompt_compat(prompt_scores(features, pool, delta)), rtol=0.0, atol=1e-14
+    )
+
+
+def test_prompt_compat_rejects_bad_shapes_and_empty():
+    with pytest.raises(ValueError):
+        prompt_compat(np.ones((2, 3)), np.ones((2, 2, 4)), np.zeros(4))
+    with pytest.raises(ValueError):
+        prompt_compat(np.ones((2, 4)), np.ones((2, 4)), np.zeros(4))
+    with pytest.raises(ValueError):
+        prompt_compat(np.ones((2, 4)), np.ones((2, 2, 4)), np.zeros(3))
+    with pytest.raises(ValueError):
+        prompt_compat(np.zeros((0, 4)), np.ones((2, 2, 4)), np.zeros(4))
+
+
 def test_select_prompts_counts():
     rng = np.random.default_rng(23)
     r = rng.normal(size=(4, 16))
@@ -243,6 +277,47 @@ def test_aggregate_rejects_duplicates_and_range():
         aggregate_selected(z, np.array([[0, 1], [2, 2]]))
     with pytest.raises(ValueError):
         aggregate_selected(z, np.array([[0, 3], [1, 2]]))
+
+
+def test_aggregate_rejects_out_of_range_naming_the_class():
+    z = np.zeros((2, 3, 4))
+    with pytest.raises(ValueError, match="class 2"):
+        aggregate_selected(z, np.array([[0, 1], [2, 3], [-1, 0]]))
+    with pytest.raises(ValueError):
+        aggregate_selected(z, np.array([[0, 1], [2, 3]]))  # one class short
+
+
+def test_selected_prompts_gathers_in_ascending_order():
+    pool = np.arange(2 * 5 * 3, dtype=float).reshape(2, 5, 3)
+    chosen = selected_prompts(pool, np.array([[4, 1], [0, 3]]))
+    assert chosen.shape == (2, 2, 3)
+    np.testing.assert_array_equal(chosen[0], pool[0, [1, 4]])
+    np.testing.assert_array_equal(chosen[1], pool[1, [0, 3]])
+
+
+def test_selected_prompts_pooled_equals_aggregate_of_full_tensor():
+    rng = np.random.default_rng(30)
+    features = rng.normal(size=(40, 6))
+    pool = rng.normal(size=(7, 9, 6))
+    delta = rng.normal(size=6) * 0.1
+    sel = np.stack([rng.permutation(9)[:3] for _ in range(7)])
+    pooled = prompt_scores(features, selected_prompts(pool, sel), delta).mean(axis=-1)
+    assert pooled.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(
+        pooled, aggregate_selected(prompt_scores(features, pool, delta), sel)
+    )
+
+
+def test_selected_prompts_rejects_what_a_gather_would_wrap():
+    pool = np.ones((2, 3, 4))
+    with pytest.raises(ValueError, match="class 1"):
+        selected_prompts(pool, np.array([[0, 1], [-1, 2]]))
+    with pytest.raises(ValueError, match="class 0"):
+        selected_prompts(pool, np.array([[0, 3], [1, 2]]))
+    with pytest.raises(ValueError, match="class 1"):
+        selected_prompts(pool, np.array([[0, 1], [2, 2]]))
+    with pytest.raises(ValueError):
+        selected_prompts(np.ones((2, 3)), np.array([[0], [1]]))
 
 
 def test_fuse_endpoints_exact():
