@@ -306,7 +306,12 @@ def adapt_episode(
     grads = grad.backward(saved)
     state.step(grads, cfg.lr)
 
-    post = fused_scores(proposals, pool, state.phi, state.delta, cfg, selections=pre.selections)
+    # a zero-size step leaves phi and delta as they were, so the post pass
+    # would recompute pre exactly
+    if cfg.lr == 0.0:
+        post = pre
+    else:
+        post = fused_scores(proposals, pool, state.phi, state.delta, cfg, selections=pre.selections)
     detections = _predict(post.fused, proposals.boxes, cfg)
 
     comp_ids, first = np.unique(assignment.component_id, return_index=True)

@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import checks
 from .adapt import EpisodeConfig, adapt_episode, run_baseline
@@ -78,6 +79,31 @@ class RunConfig:
             )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON form each annotated field type must arrive in; a float field also takes
+# an integer (Python's json also reads NaN and Infinity, which no field takes),
+# and a list becomes the tuple its field holds
+_JSON_FORMS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    tuple[int, int]: ("a list of two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
+    tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
+}
+
+
+def _check_json_types(cls, doc: dict, section: str) -> None:
+    """Reject a value whose JSON type does not match its field's annotation."""
+    for name, hint in get_type_hints(cls).items():
+        if name in doc and hint in _JSON_FORMS:
+            what, ok = _JSON_FORMS[hint]
+            if not ok(doc[name]):
+                raise ConfigError(f"{section}.{name} must be {what}: {doc[name]!r}")
+
+
 def _from_mapping(cls, doc: dict, section: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"section {section!r} must be an object")
@@ -85,9 +111,10 @@ def _from_mapping(cls, doc: dict, section: str):
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown {section} keys: {unknown}")
+    _check_json_types(cls, doc, section)
     try:
-        return cls(**doc)
-    except TypeError as exc:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
@@ -118,17 +145,15 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     for key in ("episode", "sim", "shift"):
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"section {key!r} must be an object")
-    sim_doc = dict(doc.get("sim", {}))
-    if "extent" in sim_doc:
-        sim_doc["extent"] = tuple(sim_doc["extent"])
+    _check_json_types(RunConfig, doc, "config")
     cfg = RunConfig(
         episode=episode_config_from_dict(doc.get("episode", {})),
-        sim=_from_mapping(SimConfig, sim_doc, "sim"),
-        shift=_from_mapping(ShiftSpec, dict(doc.get("shift", {})), "shift"),
-        seeds=int(doc.get("seeds", 20)),
-        n_scenes=int(doc.get("n_scenes", 20)),
+        sim=_from_mapping(SimConfig, doc.get("sim", {}), "sim"),
+        shift=_from_mapping(ShiftSpec, doc.get("shift", {}), "shift"),
+        seeds=doc.get("seeds", 20),
+        n_scenes=doc.get("n_scenes", 20),
         methods=tuple(doc.get("methods", METHODS)),
-        measure_time=bool(doc.get("measure_time", False)),
+        measure_time=doc.get("measure_time", False),
     )
     cfg.validate()
     return cfg

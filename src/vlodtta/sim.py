@@ -187,25 +187,38 @@ def gen_world(seed: int, cfg: SimConfig, shift: ShiftSpec) -> World:
     )
 
 
-def _random_box(g: np.random.Generator, width: float, height: float) -> Box:
-    bw = g.uniform(*_OBJ_SIZE_FRAC) * width
-    bh = g.uniform(*_OBJ_SIZE_FRAC) * height
-    cx = g.uniform(bw / 2.0, width - bw / 2.0)
-    cy = g.uniform(bh / 2.0, height - bh / 2.0)
-    return Box(cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
+def _random_boxes(g: np.random.Generator, n: int, width: float, height: float) -> np.ndarray:
+    """n boxes inside the extent as an (n, 4) array, from one draw of 4n uniforms.
+
+    Each uniform maps to its range as low + (high - low) * u, the operations
+    Generator.uniform uses, so the boxes equal n rounds of four scalar
+    g.uniform calls (width, height, center x, center y) on the same stream.
+    """
+    u = g.random((n, 4))
+    lo, hi = _OBJ_SIZE_FRAC
+    bw = (lo + (hi - lo) * u[:, 0]) * width
+    bh = (lo + (hi - lo) * u[:, 1]) * height
+    cx = bw / 2.0 + ((width - bw / 2.0) - bw / 2.0) * u[:, 2]
+    cy = bh / 2.0 + ((height - bh / 2.0) - bh / 2.0) * u[:, 3]
+    return np.stack([cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0], axis=1)
 
 
-def _clamped(x1: float, y1: float, x2: float, y2: float, width: float, height: float) -> list[float]:
-    """Clip into the extent, re-centering to a 1px sliver if clipping collapses a side."""
-    x1, x2 = max(0.0, x1), min(width, x2)
-    y1, y2 = max(0.0, y1), min(height, y2)
-    if x2 - x1 < 1.0:
-        mid = min(max((x1 + x2) / 2.0, 0.5), width - 0.5)
-        x1, x2 = mid - 0.5, mid + 0.5
-    if y2 - y1 < 1.0:
-        mid = min(max((y1 + y2) / 2.0, 0.5), height - 0.5)
-        y1, y2 = mid - 0.5, mid + 0.5
-    return [x1, y1, x2, y2]
+def _clamp(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
+    """Clip (n, 4) boxes into the extent, re-centering to a 1px sliver where clipping collapses a side."""
+    x1, y1 = np.maximum(0.0, boxes[:, 0]), np.maximum(0.0, boxes[:, 1])
+    x2, y2 = np.minimum(width, boxes[:, 2]), np.minimum(height, boxes[:, 3])
+    mid_x = np.minimum(np.maximum((x1 + x2) / 2.0, 0.5), width - 0.5)
+    mid_y = np.minimum(np.maximum((y1 + y2) / 2.0, 0.5), height - 0.5)
+    thin_x, thin_y = x2 - x1 < 1.0, y2 - y1 < 1.0
+    return np.stack(
+        [
+            np.where(thin_x, mid_x - 0.5, x1),
+            np.where(thin_y, mid_y - 0.5, y1),
+            np.where(thin_x, mid_x + 0.5, x2),
+            np.where(thin_y, mid_y + 0.5, y2),
+        ],
+        axis=1,
+    )
 
 
 def _jittered_boxes(
@@ -218,17 +231,10 @@ def _jittered_boxes(
     dy = g.normal(0.0, jitter * bh, n)
     sw = bw * np.exp(g.normal(0.0, jitter, n))
     sh = bh * np.exp(g.normal(0.0, jitter, n))
-    out = np.empty((n, 4))
-    for i in range(n):
-        out[i] = _clamped(
-            cx + dx[i] - sw[i] / 2.0,
-            cy + dy[i] - sh[i] / 2.0,
-            cx + dx[i] + sw[i] / 2.0,
-            cy + dy[i] + sh[i] / 2.0,
-            width,
-            height,
-        )
-    return out
+    raw = np.stack(
+        [cx + dx - sw / 2.0, cy + dy - sh / 2.0, cx + dx + sw / 2.0, cy + dy + sh / 2.0], axis=1
+    )
+    return _clamp(raw, width, height)
 
 
 def _iou_with(base: Box, boxes: np.ndarray) -> np.ndarray:
@@ -279,7 +285,7 @@ def gen_scene_proposals(
     n_objects = int(g.integers(cfg.objects_min, cfg.objects_max + 1))
     for _ in range(n_objects):
         cls = int(g.integers(num_classes))
-        gt_box = _random_box(g, width, height)
+        gt_box = Box(*_random_boxes(g, 1, width, height)[0].tolist())
         gts.append(GroundTruth(box=gt_box, class_id=cls))
         n_prop = int(g.integers(cfg.proposals_min, cfg.proposals_max + 1))
         boxes = _jittered_boxes(g, gt_box, n_prop, cfg.jitter, width, height)
@@ -292,25 +298,23 @@ def gen_scene_proposals(
             bw, bh = gt_box.x2 - gt_box.x1, gt_box.y2 - gt_box.y1
             side = g.choice(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
             anchor = Box(
-                *_clamped(
-                    gt_box.x1 + side[0] * 0.9 * bw,
-                    gt_box.y1 + side[1] * 0.9 * bh,
-                    gt_box.x2 + side[0] * 0.9 * bw - side[0] * 0.3 * bw,
-                    gt_box.y2 + side[1] * 0.9 * bh - side[1] * 0.3 * bh,
+                *_clamp(
+                    np.array([[
+                        gt_box.x1 + side[0] * 0.9 * bw,
+                        gt_box.y1 + side[1] * 0.9 * bh,
+                        gt_box.x2 + side[0] * 0.9 * bw - side[0] * 0.3 * bw,
+                        gt_box.y2 + side[1] * 0.9 * bh - side[1] * 0.3 * bh,
+                    ]]),
                     width,
                     height,
-                )
+                )[0].tolist()
             )
             dis_boxes = _jittered_boxes(g, anchor, n_dis, cfg.jitter * 0.7, width, height)
             dis_alphas = np.full(n_dis, _DISTRACTOR_ALPHA)
             box_chunks.append(dis_boxes)
             feat_chunks.append(_mixed_features(g, shifted[wrong], dis_alphas, noise_scale))
     if cfg.background:
-        bg = np.empty((cfg.background, 4))
-        for i in range(cfg.background):
-            b = _random_box(g, width, height)
-            bg[i] = (b.x1, b.y1, b.x2, b.y2)
-        box_chunks.append(bg)
+        box_chunks.append(_random_boxes(g, cfg.background, width, height))
         feat_chunks.append(normalize_rows(g.standard_normal((cfg.background, d))))
 
     proposals = ProposalSet(

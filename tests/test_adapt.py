@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,7 +292,8 @@ def test_lazy_prompt_tensor_matches_dense_scores():
 @pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
 def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
     # both passes together score 2 * N * K * n_sel cosines; the (N, K, T)
-    # tensor over the whole bank is built only when every prompt is selected
+    # tensor over the whole bank is built only when every prompt is selected,
+    # and a zero-step episode (prompt_average has lr = 0) scores it once
     cosines = []
     real = vlodtta.scoring.prompt_scores
 
@@ -306,8 +308,24 @@ def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
     adapt_episode(proposals, world.pool, CFG)
     assert sum(cosines) == 2 * n * k * math.ceil(CFG.rho * t) < 2 * n * k * t
     cosines.clear()
+    run_baseline("entropy_adapter", proposals, world.pool, CFG)
+    assert sum(cosines) == 2 * n * k * math.ceil(CFG.rho * t)
+    cosines.clear()
     run_baseline("prompt_average", proposals, world.pool, CFG)
-    assert sum(cosines) == 2 * n * k * t
+    assert sum(cosines) == n * k * t
+
+
+def test_zero_step_episode_reuses_the_pre_pass():
+    world, proposals, _ = _scene(seed=4)
+    details = {}
+    _, frozen = adapt_episode(proposals, world.pool, replace(CFG, lr=0.0), details=details)
+    assert details["post"] is details["pre"]
+    _, stepped = adapt_episode(proposals, world.pool, CFG, details=details)
+    assert details["post"] is not details["pre"]
+    # the objective and its gradient come before the step, so they are still
+    # computed, and do not depend on the step size
+    assert frozen.loss == stepped.loss > 0.0
+    assert frozen.grad_norms == stepped.grad_norms and frozen.grad_norms["w_up"] > 0.0
 
 
 def test_post_pass_reuses_frozen_selection():

@@ -115,6 +115,36 @@ def test_rejected_configs(doc, fragment):
         run_config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "over, fragment",
+    [
+        ({"shift": {"magnitude": 2.0}}, "magnitude must be in"),  # ValueError from ShiftSpec
+        ({"seeds": "x"}, "seeds must be an integer"),
+        ({"sim": {"extent": 5}}, "extent must be a list of two integers"),
+        ({"episode": {"top_m": 2.5}}, "top_m must be an integer"),
+        ({"seeds": 2.7}, "seeds must be an integer"),
+        ({"episode": {"reduction": True}}, "reduction must be an integer"),
+        ({"measure_time": "false"}, "measure_time must be true or false"),
+        ({"methods": "zs"}, "methods must be a list of strings"),
+        ({"sim": {"jitter": math.nan}}, "jitter must be a finite number"),
+        ({"shift": {"noise_amp": math.inf}}, "noise_amp must be a finite number"),
+    ],
+)
+def test_malformed_configs_end_in_a_config_error(tmp_path, capsys, over, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        run_config_from_dict(_doc(**over))
+    code = main(["bench", "--config", _write(tmp_path, _doc(**over)), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_float_fields_accept_json_integers():
+    cfg = run_config_from_dict(_doc(episode={"lr": 0, "gamma": 1}, shift={"magnitude": 1}))
+    assert cfg.episode.lr == 0.0 and cfg.episode.gamma == 1.0 and cfg.shift.magnitude == 1.0
+    assert run_config_from_dict(_doc(sim={"extent": [320, 240]})).sim.extent == (320, 240)
+
+
 def test_non_object_sections_rejected():
     with pytest.raises(ConfigError):
         run_config_from_dict(_doc(episode=[1, 2]))

@@ -1,20 +1,23 @@
-"""Evaluator tests: matching rules, AP fixtures with closed-form values, and
-a 3-scene fixture checked against an independent loop-based reference."""
+"""Evaluator tests: matching rules, AP fixtures with closed-form values, a
+3-scene fixture checked against an independent loop-based reference, and the
+array evaluator checked bit for bit against the scalar loops it replaced."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from vlodtta.checks import reference_average_precision
 from vlodtta.data import GroundTruth
 from vlodtta.evaluation import (
     IOU_THRESHOLDS,
     RECALL_GRID,
+    APReport,
     average_precision,
     evaluate,
     match_detections,
 )
-from vlodtta.geometry import Box, Detection
+from vlodtta.geometry import Box, Detection, iou
 
 # frozen from the reference implementation below (agreement was ~4e-16)
 FIXTURE_MEAN_AP = 0.5481848184818481
@@ -268,3 +271,167 @@ def test_perfect_detector_scores_one():
     assert report.mean_ap == pytest.approx(1.0, abs=1e-12)
     assert report.ap50 == pytest.approx(1.0, abs=1e-12)
     assert report.ap75 == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the scalar-loop oracle --------------------------------------------------------- #
+# The evaluator before it went to per-image IoU matrices: the scalar iou for
+# every det/GT pair at each threshold, one AP call per class and threshold.
+
+def _oracle_match(dets, gts, iou_thresh):
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    matched = [False] * len(gts)
+    flags = np.zeros(len(dets), dtype=bool)
+    for rank, di in enumerate(order):
+        det = dets[di]
+        best, best_iou = -1, -1.0
+        for gi, gt in enumerate(gts):
+            if matched[gi] or gt.class_id != det.class_id:
+                continue
+            overlap = iou(det.box, gt.box)
+            if overlap >= iou_thresh and overlap > best_iou:
+                best, best_iou = gi, overlap
+        if best >= 0:
+            matched[best] = True
+            flags[rank] = True
+    return flags, len(gts)
+
+
+def _oracle_ap(flags, n_gt):
+    if n_gt == 0:
+        return 0.0
+    flags = np.asarray(flags, dtype=bool)
+    if flags.size == 0:
+        return 0.0
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, RECALL_GRID, side="left")
+    vals = np.where(idx < envelope.size, envelope[np.minimum(idx, envelope.size - 1)], 0.0)
+    return float(vals.mean())
+
+
+def _oracle_evaluate(detections, ground_truths):
+    classes = sorted({gt.class_id for gts in ground_truths for gt in gts})
+    ap = np.zeros((len(classes), IOU_THRESHOLDS.size))
+    for ci, cls in enumerate(classes):
+        per_image = []
+        keys = []
+        n_gt = 0
+        for img, (dets, gts) in enumerate(zip(detections, ground_truths)):
+            dc = [d for d in dets if d.class_id == cls]
+            gc = [gt for gt in gts if gt.class_id == cls]
+            order = sorted(range(len(dc)), key=lambda i: (-dc[i].score, i))
+            keys.extend((-dc[di].score, img, di) for di in order)
+            per_image.append((dc, gc))
+            n_gt += len(gc)
+        ranking = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
+        for ti, thresh in enumerate(IOU_THRESHOLDS):
+            flags = [_oracle_match(dc, gc, float(thresh))[0] for dc, gc in per_image]
+            ap[ci, ti] = _oracle_ap(np.concatenate(flags)[ranking], n_gt)
+    return APReport(
+        mean_ap=float(ap.mean()),
+        ap50=float(ap[:, 0].mean()),
+        ap75=float(ap[:, 5].mean()),
+        per_class={cls: float(ap[ci].mean()) for ci, cls in enumerate(classes)},
+    )
+
+
+def _bits(report):
+    """Every float of a report as its exact hex form, so -0.0 and 0.0 differ too."""
+    return (
+        report.mean_ap.hex(), report.ap50.hex(), report.ap75.hex(),
+        [(k, v.hex()) for k, v in report.per_class.items()],
+    )
+
+
+def _random_instance(seed):
+    """A few images on a coarse grid, so score ties, duplicate boxes and exact IoU ties are common."""
+    g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xE7))))
+    n_images, n_classes = int(g.integers(1, 5)), int(g.integers(1, 5))
+
+    def box():
+        x, y = g.integers(0, 6, size=2) * 5.0
+        w, h = g.integers(1, 5, size=2) * 5.0
+        return Box(float(x), float(y), float(x + w), float(y + h))
+
+    dets, gts = [], []
+    for _ in range(n_images):
+        image_gts = [GroundTruth(box(), int(g.integers(n_classes))) for _ in range(int(g.integers(0, 6)))]
+        image_dets = []
+        for _ in range(int(g.integers(0, 12))):
+            if image_gts and g.random() < 0.5:  # near a ground truth, maybe a copy of one
+                gt = image_gts[int(g.integers(len(image_gts)))]
+                b = gt.box if g.random() < 0.3 else Box(
+                    gt.box.x1 + float(g.integers(-2, 3)), gt.box.y1 + float(g.integers(-2, 3)),
+                    gt.box.x2 + float(g.integers(-2, 3)), gt.box.y2 + float(g.integers(-2, 3)),
+                )
+            else:
+                b = box()
+            # one class more than any ground truth has, and a few score levels
+            image_dets.append(Detection(b, int(g.integers(n_classes + 1)), float(g.integers(1, 5)) / 4.0))
+        if image_dets and g.random() < 0.3:
+            image_dets.append(image_dets[int(g.integers(len(image_dets)))])  # an exact duplicate
+        dets.append(image_dets)
+        gts.append(image_gts)
+    if not any(gts):
+        gts[0].append(GroundTruth(box(), 0))
+    return dets, gts
+
+
+def _edge_instance():
+    """Score ties within and across images, duplicates, IoU exactly 0.5 and 0.95,
+    an image with no detections, one with no ground truth, and a class (3) with
+    detections but no ground truth."""
+    unit = Box(0.0, 0.0, 100.0, 100.0)
+    half = Box(0.0, 0.0, 100.0, 50.0)     # IoU 0.5 with unit
+    most = Box(0.0, 0.0, 100.0, 95.0)     # IoU 0.95 with unit
+    assert iou(half, unit) == 0.5 and iou(most, unit) == 0.95
+    gts = [
+        [GroundTruth(unit, 0), GroundTruth(Box(200.0, 0.0, 300.0, 100.0), 1)],
+        [GroundTruth(unit, 0), GroundTruth(unit, 0)],
+        [],
+        [GroundTruth(unit, 1)],
+    ]
+    dets = [
+        [Detection(half, 0, 0.5), Detection(most, 0, 0.5), Detection(unit, 3, 0.9),
+         Detection(Box(200.0, 0.0, 300.0, 100.0), 1, 0.5)],
+        [Detection(unit, 0, 0.5), Detection(unit, 0, 0.5), Detection(unit, 0, 0.5),
+         Detection(half, 0, 0.7)],
+        [Detection(unit, 0, 0.5), Detection(unit, 1, 0.9)],
+        [],
+    ]
+    return dets, gts
+
+
+def test_evaluate_matches_the_scalar_oracle_bit_for_bit():
+    instances = [_random_instance(seed) for seed in range(300)] + [_edge_instance()]
+    for dets, gts in instances:
+        assert _bits(evaluate(dets, gts)) == _bits(_oracle_evaluate(dets, gts))
+
+
+@pytest.mark.parametrize("thresh", [0.0, 0.5, 0.95, 1.0])
+def test_match_and_ap_match_the_scalar_oracle(thresh):
+    for seed in range(100):
+        dets, gts = _random_instance(seed)
+        for image_dets, image_gts in zip(dets, gts):
+            flags, n_gt = match_detections(image_dets, image_gts, thresh)
+            want, want_n = _oracle_match(image_dets, image_gts, thresh)
+            np.testing.assert_array_equal(flags, want)
+            assert flags.dtype == bool and n_gt == want_n
+            ap = average_precision(flags, n_gt)
+            assert ap.hex() == _oracle_ap(want, want_n).hex()
+            assert abs(ap - reference_average_precision(flags.tolist(), n_gt)) <= 1e-12
+
+
+def test_match_at_the_threshold_extremes():
+    unit = Box(0.0, 0.0, 10.0, 10.0)
+    gts = [GroundTruth(unit, 0)]
+    far = Detection(Box(50.0, 50.0, 60.0, 60.0), 0, 0.9)
+    # at 0.0 a disjoint same-class box matches; another class never does
+    assert match_detections([far], gts, 0.0)[0].tolist() == [True]
+    assert match_detections([Detection(far.box, 1, 0.9)], gts, 0.0)[0].tolist() == [False]
+    # at 1.0 only an exact copy matches
+    near = Detection(Box(0.0, 0.0, 10.0, 9.0), 0, 0.9)
+    assert match_detections([near, Detection(unit, 0, 0.5)], gts, 1.0)[0].tolist() == [False, True]

@@ -13,9 +13,13 @@ from vlodtta.adapt import AdaptState, EpisodeConfig, fused_scores, run_baseline
 from vlodtta.evaluation import evaluate
 from vlodtta.geometry import Box, iou
 from vlodtta.sim import (
+    _OBJ_SIZE_FRAC,
     SEED_SCALE,
     ShiftSpec,
     SimConfig,
+    _clamp,
+    _jittered_boxes,
+    _random_boxes,
     gen_scene_proposals,
     gen_world,
     make_suite,
@@ -190,3 +194,96 @@ def test_shift_degrades_zero_shot_map():
         gts = [list(g) for _, g in suite.scenes]
         reports[magnitude] = evaluate(dets, gts)
     assert reports[0.5].mean_ap < reports[0.0].mean_ap
+
+
+# -- array box draws against the scalar loops they replaced ---------------------- #
+
+def _scalar_random_box(g, width, height):
+    bw = g.uniform(*_OBJ_SIZE_FRAC) * width
+    bh = g.uniform(*_OBJ_SIZE_FRAC) * height
+    cx = g.uniform(bw / 2.0, width - bw / 2.0)
+    cy = g.uniform(bh / 2.0, height - bh / 2.0)
+    return Box(cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
+
+
+def _scalar_clamped(x1, y1, x2, y2, width, height):
+    x1, x2 = max(0.0, x1), min(width, x2)
+    y1, y2 = max(0.0, y1), min(height, y2)
+    if x2 - x1 < 1.0:
+        mid = min(max((x1 + x2) / 2.0, 0.5), width - 0.5)
+        x1, x2 = mid - 0.5, mid + 0.5
+    if y2 - y1 < 1.0:
+        mid = min(max((y1 + y2) / 2.0, 0.5), height - 0.5)
+        y1, y2 = mid - 0.5, mid + 0.5
+    return [x1, y1, x2, y2]
+
+
+def _scalar_jittered_boxes(g, base, n, jitter, width, height):
+    bw, bh = base.x2 - base.x1, base.y2 - base.y1
+    cx, cy = (base.x1 + base.x2) / 2.0, (base.y1 + base.y2) / 2.0
+    dx = g.normal(0.0, jitter * bw, n)
+    dy = g.normal(0.0, jitter * bh, n)
+    sw = bw * np.exp(g.normal(0.0, jitter, n))
+    sh = bh * np.exp(g.normal(0.0, jitter, n))
+    out = np.empty((n, 4))
+    for i in range(n):
+        out[i] = _scalar_clamped(
+            cx + dx[i] - sw[i] / 2.0, cy + dy[i] - sh[i] / 2.0,
+            cx + dx[i] + sw[i] / 2.0, cy + dy[i] + sh[i] / 2.0, width, height,
+        )
+    return out
+
+
+def _stream(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x5A))))
+
+
+@pytest.mark.parametrize("extent", [(640.0, 480.0), (17.0, 16.0)])
+def test_array_box_draws_equal_the_scalar_loops_on_one_stream(extent):
+    # the scene generator's pattern: a one-row draw, integer and normal draws
+    # in between, jittered clusters, then a block of background boxes
+    width, height = extent
+    slivers = np.zeros(2, dtype=int)
+    for seed in range(20):
+        old, new = _stream(seed), _stream(seed)
+        for jitter in (0.1, 3.0):
+            want = _scalar_random_box(old, width, height)
+            got = _random_boxes(new, 1, width, height)[0].tolist()
+            assert got == [want.x1, want.y1, want.x2, want.y2]
+            assert old.integers(5, 60) == new.integers(5, 60)
+            n = int(old.integers(1, 40))
+            assert n == new.integers(1, 40)
+            boxes = _jittered_boxes(new, want, n, jitter, width, height)
+            np.testing.assert_array_equal(boxes, _scalar_jittered_boxes(old, want, n, jitter, width, height))
+            slivers += np.isclose(boxes[:, 2:] - boxes[:, :2], 1.0, rtol=0.0, atol=1e-9).sum(axis=0)
+        background = np.array([
+            [b.x1, b.y1, b.x2, b.y2] for b in (_scalar_random_box(old, width, height) for _ in range(37))
+        ])
+        np.testing.assert_array_equal(_random_boxes(new, 37, width, height), background)
+        assert old.random() == new.random()  # both streams are at the same point
+    assert np.all(slivers > 0)  # high jitter took the 1px sliver branch on both axes
+
+
+def test_array_clamp_equals_the_scalar_clamp_including_slivers():
+    width, height = 640.0, 480.0
+    g = _stream(99)
+    raw = np.sort(g.uniform(-200.0, 900.0, size=(4000, 4)).reshape(4000, 2, 2), axis=1)
+    raw = raw.transpose(0, 2, 1).reshape(4000, 4)  # x1 <= x2 and y1 <= y2, often off the extent
+    got = _clamp(raw, width, height)
+    want = np.array([_scalar_clamped(*row, width, height) for row in raw.tolist()])
+    np.testing.assert_array_equal(got, want)
+    # both axes took the 1px sliver branch somewhere, at the edges too
+    for lo, hi, limit in ((0, 2, width), (1, 3, height)):
+        thin = np.minimum(limit, raw[:, hi]) - np.maximum(0.0, raw[:, lo]) < 1.0
+        assert thin.sum() > 100
+        assert np.any(got[thin, lo] == 0.0) and np.any(got[thin, hi] == limit)
+
+
+def test_ground_truth_boxes_hold_python_floats():
+    sim = SimConfig(jitter=3.0, distractor_prob=1.0)
+    shift = ShiftSpec(magnitude=0.5)
+    world = gen_world(0, sim, shift)
+    _, gts = gen_scene_proposals(5, sim, world, shift)
+    for gt in gts:
+        coords = (gt.box.x1, gt.box.y1, gt.box.x2, gt.box.y2)
+        assert all(type(c) is float for c in coords)
