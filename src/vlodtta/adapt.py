@@ -17,7 +17,6 @@ __all__ = [
     "AdaptState",
     "EpisodeConfig",
     "EpisodeTrace",
-    "FusedScores",
     "apply_adapter",
     "adapter_param_count",
     "fused_scores",
@@ -77,9 +76,7 @@ class AdapterParams:
 
 def apply_adapter(features: np.ndarray, params: AdapterParams) -> np.ndarray:
     """features + GELU(features @ w_down + b_down) @ w_up + b_up, row by row."""
-    v = np.asarray(features, dtype=float)
-    hidden = grad.gelu(v @ params.w_down + params.b_down)
-    return v + (hidden @ params.w_up + params.b_up)
+    return grad.adapter(features, params)[2]
 
 
 def adapter_param_count(d: int, reduction: int) -> tuple[int, int]:
@@ -156,24 +153,6 @@ class EpisodeConfig:
             raise ValueError(f"reduction must be >= 1: {self.reduction}")
 
 
-@dataclass(frozen=True)
-class FusedScores:
-    """One pass through the fused scoring path."""
-
-    adapted: np.ndarray     # (N, d) features after the adapter
-    base: np.ndarray        # (N, K) detector cosine scores
-    selections: np.ndarray  # (K, n_sel) selected prompt indices
-    pooled: np.ndarray      # (N, K) mean over the selected prompts
-    fused: np.ndarray       # (N, K) convex combination
-    bank: np.ndarray        # (K, T, d) prompt embeddings the pass scored against
-    delta: np.ndarray       # (d,) prompt residual of the pass
-
-    @property
-    def prompts(self) -> np.ndarray:
-        """(N, K, T) cosines against every prompt; built on demand, for inspection only."""
-        return scoring.prompt_scores(self.adapted, self.bank, self.delta)
-
-
 def fused_scores(
     proposals: ProposalSet,
     pool: PromptPool,
@@ -181,26 +160,9 @@ def fused_scores(
     delta: np.ndarray,
     cfg: EpisodeConfig,
     selections: np.ndarray | None = None,
-) -> FusedScores:
-    """Adapter, cosine scores, prompt aggregation, and fusion in one pass.
-
-    When selections is None the prompt sets are chosen by image
-    compatibility, from the mean unit feature of this pass; passing an
-    array reuses a frozen choice. Only the selected prompts are scored:
-    the (N, K, T) tensor over the whole bank is never built here.
-    """
-    adapted = apply_adapter(proposals.features, phi)
-    base = scoring.detector_scores(adapted, proposals.class_embeddings)
-    if selections is None:
-        compat = scoring.prompt_compat(adapted, pool.embeddings, delta)
-        selections = scoring.select_prompts(compat, cfg.rho)
-    chosen = scoring.selected_prompts(pool.embeddings, selections)
-    pooled = scoring.prompt_scores(adapted, chosen, delta).mean(axis=-1)
-    fused = scoring.fuse(pooled, base, cfg.lam)
-    return FusedScores(
-        adapted=adapted, base=base, selections=selections, pooled=pooled, fused=fused,
-        bank=pool.embeddings, delta=np.array(delta, dtype=float),
-    )
+) -> grad.Forward:
+    """One scoring pass of an episode: `grad.forward` at the config's lam and rho."""
+    return grad.forward(proposals, pool, phi, delta, cfg.lam, selections, cfg.rho)
 
 
 @dataclass(frozen=True)
@@ -302,7 +264,7 @@ def adapt_episode(
     constants = grad.ObjectiveConstants(
         weights=weights, selections=pre.selections, kept=kept, lam=cfg.lam, kappa=cfg.kappa
     )
-    loss, saved = grad.forward_objective(proposals, pool, state, constants)
+    loss, saved = grad.objective(pre, constants)
     grads = grad.backward(saved)
     state.step(grads, cfg.lr)
 

@@ -125,6 +125,10 @@ def episode_config_from_dict(doc: dict) -> EpisodeConfig:
     if "lambda" in doc:
         if "lam" in doc:
             raise ConfigError("give either 'lambda' or 'lam', not both")
+        # type-check under the name the config used, before the rename
+        what, ok = _JSON_FORMS[get_type_hints(EpisodeConfig)["lam"]]
+        if not ok(doc["lambda"]):
+            raise ConfigError(f"episode.lambda must be {what}: {doc['lambda']!r}")
         doc["lam"] = doc.pop("lambda")
     return _from_mapping(EpisodeConfig, doc, "episode")
 
@@ -364,17 +368,6 @@ def cmd_check() -> int:
 
 # -- sweep ---------------------------------------------------------------- #
 
-_PARAM_FIELD = {"lambda": "lam"}
-
-_PARAM_RANGE = {
-    "gamma": lambda v: math.isfinite(v) and v >= 0.0,
-    "theta": lambda v: 0.0 <= v <= 1.0,
-    "lambda": lambda v: 0.0 <= v <= 1.0,
-    "rho": lambda v: 0.0 < v <= 1.0,
-    "top_m": lambda v: v >= 1 and float(v).is_integer(),
-}
-
-
 def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) -> int:
     """Re-run the full method over a grid of one episode knob; write a CSV."""
     cfg = load_config(config_path)
@@ -384,15 +377,20 @@ def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) ->
     if not grid:
         print("empty sweep grid", file=sys.stderr)
         return 2
-    bad = [v for v in grid if not _PARAM_RANGE[param](v)]
-    if bad:
-        print(f"grid values out of range for {param}: {bad}", file=sys.stderr)
+    field_name = "lam" if param == "lambda" else param
+    try:
+        # validate checks top_m's range only, and int() would truncate or overflow
+        if param == "top_m" and not all(float(v).is_integer() for v in grid):
+            raise ValueError(f"top_m must be an integer: {grid}")
+        casts = [int(v) if param == "top_m" else float(v) for v in grid]
+        episode_cfgs = [replace(cfg.episode, **{field_name: cast}) for cast in casts]
+        for episode_cfg in episode_cfgs:
+            episode_cfg.validate()
+    except ValueError as exc:
+        print(f"bad grid for {param}: {exc}", file=sys.stderr)
         return 2
-    field_name = _PARAM_FIELD.get(param, param)
     lines = [_header_block(cfg), ",".join(SWEEP_COLUMNS) + "\n"]
-    for value in grid:
-        cast = int(value) if param == "top_m" else float(value)
-        episode_cfg = replace(cfg.episode, **{field_name: cast})
+    for cast, episode_cfg in zip(casts, episode_cfgs):
         swept = replace(cfg, episode=episode_cfg, methods=("vlodtta",))
         means = []
         for base_seed in range(cfg.seeds):

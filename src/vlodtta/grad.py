@@ -3,15 +3,16 @@
 The objective is one fixed composition: the bottleneck adapter, row
 normalization, cosine scores against class and prompt directions, the
 mean over each class's selected prompts, convex fusion, a softmax
-entropy, and a weighted mean. `forward_objective` evaluates it and saves
-the intermediates; `backward` applies the hand-derived chain rule to
-them; `fd_check` verifies the result against central differences.
+entropy, and a weighted mean. `forward` is the fused-score pass, shared
+by scoring and the objective; `objective` takes its kept rows to the
+loss; `backward` applies the hand-derived chain rule to the forward's
+intermediates; `fd_check` verifies the result against central differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.special import erf
 from . import cluster, scoring
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .adapt import AdaptState
+    from .adapt import AdapterParams, AdaptState
     from .data import PromptPool, ProposalSet
 
 __all__ = [
@@ -28,6 +29,10 @@ __all__ = [
     "gelu_grad",
     "Gradients",
     "ObjectiveConstants",
+    "Forward",
+    "adapter",
+    "forward",
+    "objective",
     "forward_objective",
     "backward",
     "fd_check",
@@ -57,11 +62,6 @@ def _entropy_score_grad(scores: np.ndarray, kappa: float) -> np.ndarray:
     return -kappa * p * (logp + h[:, None])
 
 
-def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows scaled to unit norm, their (n, 1) norms)."""
-    return scoring.normalize_rows(m), np.linalg.norm(m, axis=-1, keepdims=True)
-
-
 def _unit_rows_pullback(g: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient through x -> x / |x| given the output gradient g."""
     return (g - (g * unit).sum(axis=-1, keepdims=True) * unit) / norms
@@ -78,13 +78,7 @@ class Gradients:
     delta: np.ndarray
 
     def norms(self) -> dict[str, float]:
-        return {
-            "w_down": float(np.linalg.norm(self.w_down)),
-            "b_down": float(np.linalg.norm(self.b_down)),
-            "w_up": float(np.linalg.norm(self.w_up)),
-            "b_up": float(np.linalg.norm(self.b_up)),
-            "delta": float(np.linalg.norm(self.delta)),
-        }
+        return {f.name: float(np.linalg.norm(getattr(self, f.name))) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -100,37 +94,93 @@ class ObjectiveConstants:
 
 
 @dataclass(frozen=True)
-class _Saved:
-    """Forward intermediates the backward pass reads."""
+class Forward:
+    """One fused-score pass over every proposal, with the intermediates `backward` reads."""
 
-    features: np.ndarray       # (M, d) kept raw features
-    pre: np.ndarray            # (M, h) pre-GELU activations
-    hidden: np.ndarray         # (M, h)
-    w_up: np.ndarray           # (h, d)
-    unit_features: np.ndarray  # (M, d)
-    feature_norms: np.ndarray  # (M, 1)
+    features: np.ndarray       # (N, d) raw features
+    pre: np.ndarray            # (N, h) pre-GELU activations
+    hidden: np.ndarray         # (N, h)
+    w_up: np.ndarray           # (h, d) a copy: the step updates the adapter in place
+    adapted: np.ndarray        # (N, d) features after the adapter
+    unit_features: np.ndarray  # (N, d)
+    feature_norms: np.ndarray  # (N, 1)
     class_dirs: np.ndarray     # (K, d)
-    unit_prompts: np.ndarray   # (K * n_sel, d) selected prompts plus delta, normalized
+    selections: np.ndarray     # (K, n_sel) selected prompt indices
+    unit_prompts: np.ndarray   # (K * n_sel, d) selected prompts plus delta, normalized, ascending per class
     prompt_norms: np.ndarray   # (K * n_sel, 1)
-    fused: np.ndarray          # (M, K)
-    coeff: np.ndarray          # (M,) weights / weights.sum()
-    n_sel: int
+    base: np.ndarray           # (N, K) detector cosine scores
+    pooled: np.ndarray         # (N, K) mean over the selected prompts
+    fused: np.ndarray          # (N, K) convex combination
+    bank: np.ndarray           # (K, T, d) prompt embeddings the pass scored against
+    delta: np.ndarray          # (d,) prompt residual of the pass
     lam: float
+
+    @property
+    def prompts(self) -> np.ndarray:
+        """(N, K, T) cosines against every prompt; built on demand, for inspection only."""
+        return scoring.prompt_scores(self.adapted, self.bank, self.delta)
+
+
+def adapter(features: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pre-GELU activations, hidden, adapted features) of the residual bottleneck adapter."""
+    v = np.asarray(features, dtype=float)
+    pre = v @ phi.w_down + phi.b_down
+    hidden = gelu(pre)
+    return pre, hidden, v + (hidden @ phi.w_up + phi.b_up)
+
+
+def forward(
+    proposals: "ProposalSet", pool: "PromptPool", phi: "AdapterParams", delta: np.ndarray,
+    lam: float, selections: np.ndarray | None = None, rho: float = 1.0,
+) -> Forward:
+    """Adapter, cosine scores, prompt aggregation, and fusion for every proposal.
+
+    When selections is None each class keeps its ceil(rho * T) prompts of
+    highest image compatibility, taken from the mean unit feature of this
+    pass; passing an array reuses a frozen choice. Only the selected
+    prompts are scored, each class's in ascending index order: the
+    (N, K, T) tensor over the whole bank is never built here.
+    """
+    features = proposals.features
+    bank = pool.embeddings
+    delta = np.array(delta, dtype=float)
+    if bank.shape[2] != features.shape[1] or delta.shape != (bank.shape[2],):
+        raise ValueError(f"incompatible shapes {features.shape}, {bank.shape}, {delta.shape}")
+    pre, hidden, adapted = adapter(features, phi)
+    unit_features, feature_norms = scoring.unit_rows(adapted)
+    class_dirs = scoring.normalize_rows(proposals.class_embeddings)
+    if selections is None:
+        selections = scoring.select_prompts(scoring.prompt_compat(unit_features, bank, delta), rho)
+    chosen = scoring.selected_prompts(bank, selections)
+    num_classes, n_sel, d = chosen.shape
+    unit_prompts, prompt_norms = scoring.unit_rows((chosen + delta).reshape(num_classes * n_sel, d))
+    pooled = (unit_features @ unit_prompts.T).reshape(-1, num_classes, n_sel).mean(axis=-1)
+    base = unit_features @ class_dirs.T
+    return Forward(
+        features=features, pre=pre, hidden=hidden, w_up=phi.w_up.copy(), adapted=adapted,
+        unit_features=unit_features, feature_norms=feature_norms, class_dirs=class_dirs,
+        selections=selections, unit_prompts=unit_prompts, prompt_norms=prompt_norms,
+        base=base, pooled=pooled, fused=scoring.fuse(pooled, base, lam),
+        bank=bank, delta=delta, lam=lam,
+    )
+
+
+@dataclass(frozen=True)
+class _Saved:
+    """A forward pass and the objective's constants at its kept rows."""
+
+    fwd: Forward
+    kept: np.ndarray   # (M,) proposal indices into the pass
+    coeff: np.ndarray  # (M,) weights / weights.sum()
     kappa: float
 
 
-def forward_objective(
-    proposals: "ProposalSet",
-    pool: "PromptPool",
-    state: "AdaptState",
-    constants: ObjectiveConstants,
-) -> tuple[float, _Saved]:
-    """Evaluate the adaptation objective and return (loss, saved intermediates).
+def objective(fwd: Forward, constants: ObjectiveConstants) -> tuple[float, _Saved]:
+    """The adaptation objective at the kept rows of a forward pass: (loss, saved).
 
     The loss is the weighted mean entropy of the fused-score posteriors of
-    the kept proposals, computed through the adapter and the prompt
-    residual. Weights, selections, and kept indices are treated as
-    constants, so gradients flow through the entropies only.
+    the kept proposals. Weights, selections, and kept indices are treated
+    as constants, so gradients flow through the entropies only.
     """
     kept = np.asarray(constants.kept, dtype=int)
     if kept.size == 0:
@@ -140,53 +190,42 @@ def forward_objective(
         raise ValueError(f"{weights.shape[0]} weights for {kept.shape[0]} kept proposals")
     if weights.sum() <= 0.0:
         raise ValueError("weights must have a positive sum")
-
-    phi = state.phi
-    features = proposals.features[kept]
-    pre = features @ phi.w_down + phi.b_down
-    hidden = gelu(pre)
-    adapted = features + (hidden @ phi.w_up + phi.b_up)
-    unit_features, feature_norms = _unit_rows(adapted)
-
-    class_dirs = scoring.normalize_rows(proposals.class_embeddings)
-    base = unit_features @ class_dirs.T
-
-    emb = pool.embeddings
-    sel = np.asarray(constants.selections, dtype=int)
-    num_classes, n_sel = sel.shape
-    selected = emb[np.arange(num_classes)[:, None], sel].reshape(num_classes * n_sel, emb.shape[-1])
-    unit_prompts, prompt_norms = _unit_rows(selected + state.delta)
-    sims = unit_features @ unit_prompts.T
-    pooled = sims.reshape(kept.size, num_classes, n_sel).mean(axis=-1)
-
-    fused = scoring.fuse(pooled, base, constants.lam)
-    entropies = scoring.entropy(scoring.posterior(fused, constants.kappa))
+    if constants.lam != fwd.lam or not np.array_equal(constants.selections, fwd.selections):
+        raise ValueError("constants and forward pass differ in lam or prompt selections")
+    entropies = scoring.entropy(scoring.posterior(fwd.fused[kept], constants.kappa))
     loss = cluster.iwe_loss(entropies, weights)
-    saved = _Saved(
-        features=features, pre=pre, hidden=hidden, w_up=phi.w_up,
-        unit_features=unit_features, feature_norms=feature_norms, class_dirs=class_dirs,
-        unit_prompts=unit_prompts, prompt_norms=prompt_norms, fused=fused,
-        coeff=weights / weights.sum(), n_sel=n_sel, lam=constants.lam, kappa=constants.kappa,
-    )
-    return loss, saved
+    return loss, _Saved(fwd=fwd, kept=kept, coeff=weights / weights.sum(), kappa=constants.kappa)
+
+
+def forward_objective(
+    proposals: "ProposalSet",
+    pool: "PromptPool",
+    state: "AdaptState",
+    constants: ObjectiveConstants,
+) -> tuple[float, _Saved]:
+    """The objective under the current adapter and residual: `forward`, then `objective`."""
+    fwd = forward(proposals, pool, state.phi, state.delta, constants.lam, constants.selections)
+    return objective(fwd, constants)
 
 
 def backward(saved: _Saved) -> Gradients:
-    """Gradients of the loss from `forward_objective` by the hand-derived chain rule."""
-    s = saved
-    g_fused = s.coeff[:, None] * _entropy_score_grad(s.fused, s.kappa)
-    g_sims = np.repeat(s.lam * g_fused / s.n_sel, s.n_sel, axis=1)
-    g_base = (1.0 - s.lam) * g_fused
+    """Gradients of the loss from `objective` by the hand-derived chain rule."""
+    f, kept = saved.fwd, saved.kept
+    n_sel = f.selections.shape[1]
+    g_fused = saved.coeff[:, None] * _entropy_score_grad(f.fused[kept], saved.kappa)
+    g_sims = np.repeat(f.lam * g_fused / n_sel, n_sel, axis=1)
+    g_base = (1.0 - f.lam) * g_fused
 
-    g_unit = g_sims @ s.unit_prompts + g_base @ s.class_dirs
-    g_prompts = _unit_rows_pullback(g_sims.T @ s.unit_features, s.unit_prompts, s.prompt_norms)
-    g_adapted = _unit_rows_pullback(g_unit, s.unit_features, s.feature_norms)
+    unit_features = f.unit_features[kept]
+    g_unit = g_sims @ f.unit_prompts + g_base @ f.class_dirs
+    g_prompts = _unit_rows_pullback(g_sims.T @ unit_features, f.unit_prompts, f.prompt_norms)
+    g_adapted = _unit_rows_pullback(g_unit, unit_features, f.feature_norms[kept])
 
-    g_pre = (g_adapted @ s.w_up.T) * gelu_grad(s.pre)
+    g_pre = (g_adapted @ f.w_up.T) * gelu_grad(f.pre[kept])
     return Gradients(
-        w_down=s.features.T @ g_pre,
+        w_down=f.features[kept].T @ g_pre,
         b_down=g_pre.sum(axis=0),
-        w_up=s.hidden.T @ g_adapted,
+        w_up=f.hidden[kept].T @ g_adapted,
         b_up=g_adapted.sum(axis=0),
         delta=g_prompts.sum(axis=0),
     )

@@ -10,6 +10,7 @@ __all__ = [
     "EPS",
     "NearZeroRow",
     "normalize_rows",
+    "unit_rows",
     "detector_scores",
     "posterior",
     "entropy",
@@ -29,15 +30,20 @@ class NearZeroRow(ValueError):
     """A row has L2 norm too close to zero to normalize."""
 
 
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Scale each vector along the last axis to unit L2 norm."""
+def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(each vector along the last axis scaled to unit L2 norm, the norms with a trailing axis of 1)."""
     m = np.asarray(m, dtype=float)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(norms <= EPS):
         where = np.argwhere(np.atleast_1d(norms[..., 0] <= EPS))[0].tolist()
         row = where[0] if len(where) == 1 else tuple(where)
         raise NearZeroRow(f"row {row} has norm <= {EPS}; cannot normalize")
-    return m / norms
+    return m / norms, norms
+
+
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Scale each vector along the last axis to unit L2 norm."""
+    return unit_rows(m)[0]
 
 
 def detector_scores(features: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
@@ -94,20 +100,20 @@ def prompt_scores(features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> 
     return z.reshape(v.shape[0], num_classes, pool_size)
 
 
-def prompt_compat(features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def prompt_compat(unit_features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Mean prompt score over all proposals, shape (K, T), without the (N, K, T) tensor.
 
-    Cosine is linear in the unit feature, so the proposal mean of the
-    prompt scores is each shifted prompt direction against the mean unit
-    feature. It equals `image_prompt_compat(prompt_scores(...))` up to
-    rounding.
+    The features must already be unit rows. Cosine is linear in the unit
+    feature, so the proposal mean of the prompt scores is each shifted
+    prompt direction against the mean unit feature. It equals
+    `image_prompt_compat(prompt_scores(...))` up to rounding.
     """
-    v, e, delta = _prompt_inputs(features, pool, delta)
+    v, e, delta = _prompt_inputs(unit_features, pool, delta)
     if v.shape[0] < 1:
         raise ValueError("expected at least one feature row")
     num_classes, pool_size, d = e.shape
     shifted = normalize_rows(e + delta).reshape(num_classes * pool_size, d)
-    return (shifted @ normalize_rows(v).mean(axis=0)).reshape(num_classes, pool_size)
+    return (shifted @ v.mean(axis=0)).reshape(num_classes, pool_size)
 
 
 def image_prompt_compat(z: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroundTruth, PromptPool, ProposalSet
-from .geometry import Box
+from .geometry import Box, _pair_iou
 from .scoring import normalize_rows
 
 __all__ = [
@@ -237,15 +237,6 @@ def _jittered_boxes(
     return _clamp(raw, width, height)
 
 
-def _iou_with(base: Box, boxes: np.ndarray) -> np.ndarray:
-    """IoU of one box against an (n, 4) array."""
-    iw = np.minimum(base.x2, boxes[:, 2]) - np.maximum(base.x1, boxes[:, 0])
-    ih = np.minimum(base.y2, boxes[:, 3]) - np.maximum(base.y1, boxes[:, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    return np.where(inter > 0.0, inter / (base.area + areas - inter), 0.0)
-
-
 def _mixed_features(
     g: np.random.Generator,
     prototype: np.ndarray,
@@ -285,11 +276,12 @@ def gen_scene_proposals(
     n_objects = int(g.integers(cfg.objects_min, cfg.objects_max + 1))
     for _ in range(n_objects):
         cls = int(g.integers(num_classes))
-        gt_box = Box(*_random_boxes(g, 1, width, height)[0].tolist())
+        gt_row = _random_boxes(g, 1, width, height)[0]
+        gt_box = Box(*gt_row.tolist())
         gts.append(GroundTruth(box=gt_box, class_id=cls))
         n_prop = int(g.integers(cfg.proposals_min, cfg.proposals_max + 1))
         boxes = _jittered_boxes(g, gt_box, n_prop, cfg.jitter, width, height)
-        alphas = np.maximum(_ALPHA_FLOOR, np.minimum(_iou_with(gt_box, boxes), 1.0))
+        alphas = np.maximum(_ALPHA_FLOOR, np.minimum(_pair_iou(gt_row, boxes), 1.0))
         box_chunks.append(boxes)
         feat_chunks.append(_mixed_features(g, shifted[cls], alphas, noise_scale))
         if g.random() < cfg.distractor_prob:

@@ -29,6 +29,7 @@ from vlodtta.grad import Gradients, ObjectiveConstants, backward, forward_object
 from vlodtta.scoring import (
     aggregate_selected,
     image_prompt_compat,
+    normalize_rows,
     posterior,
     prompt_compat,
     prompt_scores,
@@ -266,7 +267,7 @@ def test_compat_and_selected_scoring_match_the_dense_tensor(sim, n_scenes):
             adapted = apply_adapter(proposals.features, state.phi)
             z = prompt_scores(adapted, pool, state.delta)
             dense = image_prompt_compat(z)
-            compat = prompt_compat(adapted, pool, state.delta)
+            compat = prompt_compat(normalize_rows(adapted), pool, state.delta)
             assert np.max(np.abs(compat - dense)) <= 1e-12
             sel = select_prompts(compat, CFG.rho)
             np.testing.assert_array_equal(sel, select_prompts(dense, CFG.rho))
@@ -291,28 +292,56 @@ def test_lazy_prompt_tensor_matches_dense_scores():
 
 @pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
 def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
-    # both passes together score 2 * N * K * n_sel cosines; the (N, K, T)
-    # tensor over the whole bank is built only when every prompt is selected,
-    # and a zero-step episode (prompt_average has lr = 0) scores it once
-    cosines = []
-    real = vlodtta.scoring.prompt_scores
+    # a stepped episode runs the fused-score forward twice (pre and post
+    # pass; the objective reads the pre pass), scoring 2 * N * K * n_sel
+    # cosines; the (N, K, T) tensor over the whole bank is built only when
+    # every prompt is selected, and a zero-step episode (prompt_average has
+    # lr = 0) runs the forward once
+    passes, cosines = [], []
+    real = vlodtta.grad.forward
 
     def counting(*a, **k):
         out = real(*a, **k)
-        cosines.append(out.size)
+        passes.append(out)
+        cosines.append(out.unit_features.shape[0] * out.unit_prompts.shape[0])
         return out
 
-    monkeypatch.setattr(vlodtta.scoring, "prompt_scores", counting)
+    monkeypatch.setattr(vlodtta.grad, "forward", counting)
     world, proposals, _ = _scene(seed=12, sim=sim)
     n, k, t = proposals.n, world.pool.num_classes, world.pool.pool_size
     adapt_episode(proposals, world.pool, CFG)
+    assert len(passes) == 2
     assert sum(cosines) == 2 * n * k * math.ceil(CFG.rho * t) < 2 * n * k * t
+    passes.clear()
     cosines.clear()
     run_baseline("entropy_adapter", proposals, world.pool, CFG)
+    assert len(passes) == 2
     assert sum(cosines) == 2 * n * k * math.ceil(CFG.rho * t)
+    passes.clear()
     cosines.clear()
     run_baseline("prompt_average", proposals, world.pool, CFG)
+    assert len(passes) == 1
     assert sum(cosines) == n * k * t
+
+
+@pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
+def test_episode_objective_matches_forward_objective(sim):
+    # the episode takes its loss and gradient from the pre pass, while
+    # forward_objective runs a forward of its own over the same constants
+    world, proposals, _ = _scene(seed=13, sim=sim)
+    details = {}
+    _, trace = adapt_episode(proposals, world.pool, CFG, details=details)
+    constants = ObjectiveConstants(
+        weights=details["weights"], selections=details["pre"].selections,
+        kept=details["kept"], lam=CFG.lam, kappa=CFG.kappa,
+    )
+    state = AdaptState.zero_init(proposals.d, CFG.reduction)
+    loss, saved = forward_objective(proposals, world.pool, state, constants)
+    assert abs(trace.loss - loss) <= 1e-15
+    want = backward(saved)
+    for name in ("w_down", "b_down", "w_up", "b_up", "delta"):
+        got, ref = getattr(details["grads"], name), getattr(want, name)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
 def test_zero_step_episode_reuses_the_pre_pass():

@@ -186,7 +186,7 @@ def test_prompt_compat_is_proposal_mean_of_prompt_scores():
     features = rng.normal(size=(30, 6))
     pool = rng.normal(size=(4, 5, 6))
     delta = rng.normal(size=6) * 0.1
-    r = prompt_compat(features, pool, delta)
+    r = prompt_compat(normalize_rows(features), pool, delta)
     assert r.shape == (4, 5)
     np.testing.assert_allclose(
         r, image_prompt_compat(prompt_scores(features, pool, delta)), rtol=0.0, atol=1e-14
