@@ -28,22 +28,17 @@ __all__ = [
 BASELINES = ("zero_shot", "entropy_adapter", "prompt_average")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterParams:
     """Two-layer bottleneck MLP applied residually to region features."""
 
-    w_down: np.ndarray  # (d, d // reduction)
-    b_down: np.ndarray  # (d // reduction,)
-    w_up: np.ndarray    # (d // reduction, d)
+    w_down: np.ndarray  # (d, hidden)
+    b_down: np.ndarray  # (hidden,)
+    w_up: np.ndarray    # (hidden, d)
     b_up: np.ndarray    # (d,)
-    reduction: int
 
     def __post_init__(self) -> None:
         d, hidden = self.w_down.shape
-        if self.reduction < 1 or d % self.reduction != 0:
-            raise ValueError(f"feature dim {d} must be divisible by reduction {self.reduction}")
-        if hidden != d // self.reduction:
-            raise ValueError(f"hidden width must be {d // self.reduction}: {hidden}")
         if self.b_down.shape != (hidden,) or self.w_up.shape != (hidden, d) or self.b_up.shape != (d,):
             raise ValueError("adapter tensor shapes are inconsistent")
 
@@ -60,18 +55,7 @@ class AdapterParams:
         hidden = d // reduction
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, d, reduction))))
         w_down = rng.standard_normal((d, hidden)) / math.sqrt(d)
-        return cls(
-            w_down=w_down,
-            b_down=np.zeros(hidden),
-            w_up=np.zeros((hidden, d)),
-            b_up=np.zeros(d),
-            reduction=reduction,
-        )
-
-    def copy(self) -> "AdapterParams":
-        return AdapterParams(
-            self.w_down.copy(), self.b_down.copy(), self.w_up.copy(), self.b_up.copy(), self.reduction
-        )
+        return cls(w_down=w_down, b_down=np.zeros(hidden), w_up=np.zeros((hidden, d)), b_up=np.zeros(d))
 
 
 def apply_adapter(features: np.ndarray, params: AdapterParams) -> np.ndarray:
@@ -87,32 +71,29 @@ def adapter_param_count(d: int, reduction: int) -> tuple[int, int]:
     return weights, weights + d // reduction + d
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptState:
-    """Live adapter and residual parameters plus their pristine snapshots."""
+    """Adapter and prompt-residual parameters; a step returns a new state."""
 
     phi: AdapterParams
     delta: np.ndarray
-    phi0: AdapterParams
-    delta0: np.ndarray
 
     @classmethod
     def zero_init(cls, d: int, reduction: int, seed: int = 0) -> "AdaptState":
-        phi = AdapterParams.zero_init(d, reduction, seed)
-        return cls(phi=phi, delta=np.zeros(d), phi0=phi.copy(), delta0=np.zeros(d))
+        return cls(phi=AdapterParams.zero_init(d, reduction, seed), delta=np.zeros(d))
 
-    def step(self, grads: grad.Gradients, lr: float) -> None:
-        """One plain gradient-descent step on every tensor."""
-        self.phi.w_down -= lr * grads.w_down
-        self.phi.b_down -= lr * grads.b_down
-        self.phi.w_up -= lr * grads.w_up
-        self.phi.b_up -= lr * grads.b_up
-        self.delta = self.delta - lr * grads.delta
-
-    def reset(self) -> None:
-        """Restore the snapshots exactly."""
-        self.phi = self.phi0.copy()
-        self.delta = self.delta0.copy()
+    def stepped(self, grads: grad.Gradients, lr: float) -> "AdaptState":
+        """The parameters after one plain gradient-descent step on every tensor."""
+        phi = self.phi
+        return AdaptState(
+            phi=AdapterParams(
+                w_down=phi.w_down - lr * grads.w_down,
+                b_down=phi.b_down - lr * grads.b_down,
+                w_up=phi.w_up - lr * grads.w_up,
+                b_up=phi.b_up - lr * grads.b_up,
+            ),
+            delta=self.delta - lr * grads.delta,
+        )
 
 
 @dataclass(frozen=True)
@@ -243,12 +224,15 @@ def adapt_episode(
     state: AdaptState | None = None,
     details: dict[str, Any] | None = None,
 ) -> tuple[list[Detection], EpisodeTrace]:
-    """Adapt on one image with a single gradient step, predict, then reset.
+    """Adapt on one image with a single gradient step, then predict.
 
     Prompt selections, kept-proposal indices, and entropy weights are all
     frozen before the step; only the adapter and the prompt residual move.
-    An empty proposal set yields no detections and no update. Passing a
-    dict as `details` fills it with the full intermediate arrays.
+    The step returns new parameters that only the post pass reads; `state`
+    (zero-init when None) is never written, so no episode depends on the
+    ones before it. An empty proposal set yields no detections and no
+    update. Passing a dict as `details` fills it with the full intermediate
+    arrays.
     """
     cfg.validate()
     if proposals.n == 0:
@@ -266,14 +250,14 @@ def adapt_episode(
     )
     loss, saved = grad.objective(pre, constants)
     grads = grad.backward(saved)
-    state.step(grads, cfg.lr)
 
     # a zero-size step leaves phi and delta as they were, so the post pass
     # would recompute pre exactly
     if cfg.lr == 0.0:
         post = pre
     else:
-        post = fused_scores(proposals, pool, state.phi, state.delta, cfg, selections=pre.selections)
+        new = state.stepped(grads, cfg.lr)
+        post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections)
     detections = _predict(post.fused, proposals.boxes, cfg)
 
     comp_ids, first = np.unique(assignment.component_id, return_index=True)
@@ -295,7 +279,6 @@ def adapt_episode(
             weights=weights, grads=grads,
             components=_component_table(assignment, pre.fused[kept]),
         )
-    state.reset()
     return detections, trace
 
 

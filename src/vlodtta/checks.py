@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from . import cluster, geometry, scoring
-from .adapt import AdaptState
+from .adapt import AdapterParams, AdaptState
 from .data import GroundTruth, PromptPool, ProposalSet
 from .evaluation import RECALL_GRID, average_precision, match_detections
 from .geometry import Box, Detection
@@ -124,13 +124,15 @@ def random_objective_instance(seed: int, max_n: int = 50):
         class_embeddings=scoring.normalize_rows(g.standard_normal((num_classes, d))),
     )
     pool = PromptPool(embeddings=scoring.normalize_rows(g.standard_normal((num_classes, pool_size, d))))
-    state = AdaptState.zero_init(d, reduction, seed=seed)
+    hidden = d // reduction
     # nonzero parameters so every gradient path is exercised
-    state.phi.w_down = 0.3 * g.standard_normal(state.phi.w_down.shape)
-    state.phi.b_down = 0.1 * g.standard_normal(state.phi.b_down.shape)
-    state.phi.w_up = 0.3 * g.standard_normal(state.phi.w_up.shape)
-    state.phi.b_up = 0.1 * g.standard_normal(state.phi.b_up.shape)
-    state.delta = 0.1 * g.standard_normal(d)
+    phi = AdapterParams(
+        w_down=0.3 * g.standard_normal((d, hidden)),
+        b_down=0.1 * g.standard_normal((hidden,)),
+        w_up=0.3 * g.standard_normal((hidden, d)),
+        b_up=0.1 * g.standard_normal((d,)),
+    )
+    state = AdaptState(phi=phi, delta=0.1 * g.standard_normal(d))
     n_kept = int(g.integers(2, n + 1))
     kept = np.sort(g.choice(n, size=n_kept, replace=False))
     n_sel = int(g.integers(1, pool_size + 1))

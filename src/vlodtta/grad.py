@@ -12,7 +12,7 @@ intermediates; `fd_check` verifies the result against central differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,7 +100,7 @@ class Forward:
     features: np.ndarray       # (N, d) raw features
     pre: np.ndarray            # (N, h) pre-GELU activations
     hidden: np.ndarray         # (N, h)
-    w_up: np.ndarray           # (h, d) a copy: the step updates the adapter in place
+    w_up: np.ndarray           # (h, d)
     adapted: np.ndarray        # (N, d) features after the adapter
     unit_features: np.ndarray  # (N, d)
     feature_norms: np.ndarray  # (N, 1)
@@ -157,7 +157,7 @@ def forward(
     pooled = (unit_features @ unit_prompts.T).reshape(-1, num_classes, n_sel).mean(axis=-1)
     base = unit_features @ class_dirs.T
     return Forward(
-        features=features, pre=pre, hidden=hidden, w_up=phi.w_up.copy(), adapted=adapted,
+        features=features, pre=pre, hidden=hidden, w_up=phi.w_up, adapted=adapted,
         unit_features=unit_features, feature_norms=feature_norms, class_dirs=class_dirs,
         selections=selections, unit_prompts=unit_prompts, prompt_norms=prompt_norms,
         base=base, pooled=pooled, fused=scoring.fuse(pooled, base, lam),
@@ -247,6 +247,9 @@ def fd_check(
         raise ValueError(f"eps must be in [1e-7, 1e-3]: {eps}")
     _, saved = forward_objective(proposals, pool, state, constants)
     grads = backward(saved)
+    # the differences perturb copies, so the caller's parameters are never written
+    phi = replace(state.phi, **{f.name: getattr(state.phi, f.name).copy() for f in fields(state.phi)})
+    state = replace(state, phi=phi, delta=state.delta.copy())
     pairs = [
         (state.phi.w_down, grads.w_down),
         (state.phi.b_down, grads.b_down),

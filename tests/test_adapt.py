@@ -1,5 +1,5 @@
-"""Episode-loop contract tests: zero-init transparency, reset, frozen
-constants, lr=0 bit-identity, baselines, and single-step descent."""
+"""Episode-loop contract tests: zero-init transparency, untouched parameters,
+frozen constants, lr=0 bit-identity, baselines, and single-step descent."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlodtta.cluster
 import vlodtta.geometry
@@ -76,7 +78,7 @@ def test_apply_adapter_matches_loop_oracle():
     b_down = np.array([0.05, -0.1])
     w_up = (((np.arange(8).reshape(2, 4) * 11) % 6) - 2.5) * 0.13
     b_up = np.array([0.02, -0.03, 0.04, -0.01])
-    params = AdapterParams(w_down, b_down, w_up, b_up, reduction=2)
+    params = AdapterParams(w_down, b_down, w_up, b_up)
     v = (((np.arange(12).reshape(3, 4) * 7) % 11) - 5.0) * 0.23
     got = apply_adapter(v, params)
     for i in range(3):
@@ -98,9 +100,7 @@ def test_adapter_param_counts():
 
 def test_adapter_params_validate_shapes():
     with pytest.raises(ValueError):
-        AdapterParams(np.zeros((4, 2)), np.zeros(3), np.zeros((2, 4)), np.zeros(4), 2)
-    with pytest.raises(ValueError):
-        AdapterParams(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros(4), 2)
+        AdapterParams(np.zeros((4, 2)), np.zeros(3), np.zeros((2, 4)), np.zeros(4))
     with pytest.raises(ValueError):
         AdapterParams.zero_init(30, 16)
 
@@ -113,21 +113,26 @@ def test_zero_init_is_seed_deterministic():
     assert not np.array_equal(a.w_down, c.w_down)
 
 
-def test_state_step_and_reset():
+def _state_bytes(state):
+    """Every tensor of an AdaptState as bytes, for bitwise comparison."""
+    tensors = {name: getattr(state.phi, name) for name in ("w_down", "b_down", "w_up", "b_up")}
+    return {name: a.tobytes() for name, a in {**tensors, "delta": state.delta}.items()}
+
+
+def test_state_stepped_returns_new_parameters():
     state = AdaptState.zero_init(8, reduction=2)
-    before = state.phi.copy()
+    before = _state_bytes(state)
     ones = Gradients(
         w_down=np.ones((8, 4)), b_down=np.ones(4),
         w_up=np.ones((4, 8)), b_up=np.ones(8), delta=np.ones(8),
     )
-    state.step(ones, lr=0.5)
-    np.testing.assert_array_equal(state.phi.w_down, before.w_down - 0.5)
-    np.testing.assert_array_equal(state.phi.w_up, -0.5 * np.ones((4, 8)))
-    np.testing.assert_array_equal(state.delta, -0.5 * np.ones(8))
-    state.reset()
-    np.testing.assert_array_equal(state.phi.w_down, before.w_down)
-    np.testing.assert_array_equal(state.phi.w_up, np.zeros((4, 8)))
-    np.testing.assert_array_equal(state.delta, np.zeros(8))
+    stepped = state.stepped(ones, lr=0.5)
+    np.testing.assert_array_equal(stepped.phi.w_down, state.phi.w_down - 0.5)
+    np.testing.assert_array_equal(stepped.phi.b_down, -0.5 * np.ones(4))
+    np.testing.assert_array_equal(stepped.phi.w_up, -0.5 * np.ones((4, 8)))
+    np.testing.assert_array_equal(stepped.phi.b_up, -0.5 * np.ones(8))
+    np.testing.assert_array_equal(stepped.delta, -0.5 * np.ones(8))
+    assert _state_bytes(state) == before
 
 
 # -- episode contract --------------------------------------------------------- #
@@ -143,6 +148,70 @@ def test_episode_resets_parameters_exactly():
     np.testing.assert_array_equal(state.phi.w_up, np.zeros_like(state.phi.w_up))
     np.testing.assert_array_equal(state.phi.b_up, np.zeros_like(state.phi.b_up))
     np.testing.assert_array_equal(state.delta, np.zeros_like(state.delta))
+
+
+def test_failed_episode_leaves_the_passed_state_unchanged(monkeypatch):
+    # prediction runs after the step: an episode that raises there must not
+    # leave the caller's parameters stepped
+    def failing(*a, **k):
+        raise RuntimeError("injected nms failure")
+
+    world, proposals, _ = _scene()
+    state = AdaptState.zero_init(proposals.d, CFG.reduction)
+    snapshot = _state_bytes(state)
+    monkeypatch.setattr(vlodtta.geometry, "nms", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        adapt_episode(proposals, world.pool, CFG, state=state)
+    assert _state_bytes(state) == snapshot
+
+
+@st.composite
+def _small_scenes(draw):
+    """A small random world with two of its scenes and an episode config."""
+    sim = SimConfig(
+        d=draw(st.sampled_from([8, 16, 32])),
+        num_classes=draw(st.integers(2, 6)),
+        pool_size=draw(st.integers(1, 6)),
+        objects_min=1,
+        objects_max=draw(st.integers(1, 4)),
+        proposals_min=1,
+        proposals_max=draw(st.integers(1, 12)),
+        background=draw(st.integers(0, 20)),
+        distractor_prob=draw(st.sampled_from([0.0, 0.5])),
+    )
+    shift = ShiftSpec(magnitude=draw(st.sampled_from([0.0, 0.5])))
+    world = gen_world(draw(st.integers(0, 2**16)), sim, shift)
+    scene_a, scene_b = (
+        gen_scene_proposals(draw(st.integers(0, 2**16)), sim, world, shift)[0] for _ in range(2)
+    )
+    cfg = EpisodeConfig(
+        reduction=draw(st.sampled_from([2, 4])),
+        top_m=draw(st.integers(1, 80)),
+        lr=draw(st.sampled_from([CFG.lr, 0.1])),
+    )
+    return world, scene_a, scene_b, cfg, draw(st.integers(0, 3))
+
+
+@given(_small_scenes())
+@settings(max_examples=25, deadline=None)
+def test_episode_contract_on_random_scenes(case):
+    world, scene_a, scene_b, cfg, init_seed = case
+    k = world.pool.num_classes
+    fresh = AdaptState.zero_init(scene_b.d, cfg.reduction, seed=init_seed)
+    alone = adapt_episode(scene_b, world.pool, cfg, state=fresh)
+    state = AdaptState.zero_init(scene_b.d, cfg.reduction, seed=init_seed)
+    snapshot = _state_bytes(state)
+    for proposals in (scene_a, scene_b):
+        dets, trace = adapt_episode(proposals, world.pool, cfg, state=state)
+        rows = {tuple(row) for row in proposals.boxes.tolist()}
+        for det in dets:
+            assert (det.box.x1, det.box.y1, det.box.x2, det.box.y2) in rows
+            assert math.isfinite(det.score)
+            assert 0 <= det.class_id < k
+        assert math.isfinite(trace.loss)
+        assert _state_bytes(state) == snapshot
+    # scene B after scene A, through the same state object, as B alone
+    assert (dets, trace) == alone
 
 
 def test_lr_zero_episode_is_bit_identical_to_no_adaptation():
@@ -250,9 +319,8 @@ def _stepped_states(world, proposals):
     """The zero-init state and the state after the episode's single step."""
     details = {}
     adapt_episode(proposals, world.pool, CFG, details=details)
-    stepped = AdaptState.zero_init(proposals.d, CFG.reduction)
-    stepped.step(details["grads"], CFG.lr)
-    return AdaptState.zero_init(proposals.d, CFG.reduction), stepped
+    zero = AdaptState.zero_init(proposals.d, CFG.reduction)
+    return zero, zero.stepped(details["grads"], CFG.lr)
 
 
 @pytest.mark.parametrize("sim,n_scenes", [(SimConfig(), 20), (COCO_SIM, 10)], ids=["desk", "coco"])
@@ -394,9 +462,7 @@ def test_single_step_descends_for_small_enough_lr():
     grads = backward(saved)
     lr = CFG.lr
     for _ in range(20):
-        trial = AdaptState.zero_init(proposals.d, CFG.reduction)
-        trial.step(grads, lr)
-        loss1, _ = forward_objective(proposals, world.pool, trial, constants)
+        loss1, _ = forward_objective(proposals, world.pool, state.stepped(grads, lr), constants)
         if loss1 < loss0:
             return
         lr *= 0.5

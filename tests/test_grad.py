@@ -86,11 +86,8 @@ def _fixture():
     selections = np.array([[1], [0]])
     boxes = np.array([[10.0 * i, 0.0, 10.0 * i + 5.0, 5.0] for i in range(4)])
     proposals = ProposalSet(boxes=boxes, features=features, class_embeddings=class_emb)
-    phi = AdapterParams(
-        w_down=w_down.copy(), b_down=b_down.copy(), w_up=w_up.copy(),
-        b_up=b_up.copy(), reduction=2,
-    )
-    state = AdaptState(phi=phi, delta=delta.copy(), phi0=phi.copy(), delta0=delta.copy())
+    phi = AdapterParams(w_down=w_down, b_down=b_down, w_up=w_up, b_up=b_up)
+    state = AdaptState(phi=phi, delta=delta)
     constants = ObjectiveConstants(
         weights=weights, selections=selections, kept=kept, lam=0.3, kappa=12.0
     )
