@@ -1,12 +1,13 @@
 """Closed-form gradient of the single-step adaptation objective.
 
 The objective is one fixed composition: the bottleneck adapter, row
-normalization, cosine scores against class and prompt directions, the
-mean over each class's selected prompts, convex fusion, a softmax
-entropy, and a weighted mean. `forward` is the fused-score pass, shared
-by scoring and the objective; `objective` takes its kept rows to the
-loss; `backward` applies the hand-derived chain rule to the forward's
-intermediates; `fd_check` verifies the result against central differences.
+normalization, cosines against class directions and against each class's
+mean unit selected prompt (cosine is linear in the unit prompt, so that is
+the mean of its prompts' cosines), convex fusion, a softmax entropy, and a
+weighted mean. `forward` is the fused-score pass, shared by scoring and the
+objective; `objective` takes its kept rows to the loss; `backward` applies
+the hand-derived chain rule to the forward's intermediates; `fd_check`
+verifies the result against central differences.
 """
 
 from __future__ import annotations
@@ -54,17 +55,19 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def _entropy_score_grad(scores: np.ndarray, kappa: float) -> np.ndarray:
-    """d entropy_i / d score_ij in closed form: -kappa * p * (log p + H)."""
-    p = scoring.posterior(scores, kappa)
-    h = scoring.entropy(p)
+def _entropy_score_grad(p: np.ndarray, h: np.ndarray, kappa: float) -> np.ndarray:
+    """d entropy_i / d score_ij from posteriors p and entropies h: -kappa * p * (log p + h)."""
     logp = np.log(np.where(p > 0.0, p, 1.0))
     return -kappa * p * (logp + h[:, None])
 
 
 def _unit_rows_pullback(g: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Gradient through x -> x / |x| given the output gradient g."""
-    return (g - (g * unit).sum(axis=-1, keepdims=True) * unit) / norms
+    out = g * unit
+    np.multiply(out.sum(axis=-1, keepdims=True), unit, out=out)
+    np.subtract(g, out, out=out)
+    out /= norms
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,11 @@ class Forward:
     feature_norms: np.ndarray  # (N, 1)
     class_dirs: np.ndarray     # (K, d)
     selections: np.ndarray     # (K, n_sel) selected prompt indices
-    unit_prompts: np.ndarray   # (K * n_sel, d) selected prompts plus delta, normalized, ascending per class
-    prompt_norms: np.ndarray   # (K * n_sel, 1)
+    unit_prompts: np.ndarray   # (K, n_sel, d) selected prompts plus delta, normalized, ascending per class
+    prompt_norms: np.ndarray   # (K, n_sel, 1)
+    mean_dirs: np.ndarray      # (K, d) each class's mean unit prompt (not unit length)
     base: np.ndarray           # (N, K) detector cosine scores
-    pooled: np.ndarray         # (N, K) mean over the selected prompts
+    pooled: np.ndarray         # (N, K) mean selected-prompt cosine: unit_features @ mean_dirs.T
     fused: np.ndarray          # (N, K) convex combination
     bank: np.ndarray           # (K, T, d) prompt embeddings the pass scored against
     delta: np.ndarray          # (d,) prompt residual of the pass
@@ -126,7 +130,11 @@ def adapter(features: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.
     v = np.asarray(features, dtype=float)
     pre = v @ phi.w_down + phi.b_down
     hidden = gelu(pre)
-    return pre, hidden, v + (hidden @ phi.w_up + phi.b_up)
+    if not phi.w_up.any():  # as in every fresh adapter: the up-projection adds exactly b_up
+        return pre, hidden, v + phi.b_up
+    up = hidden @ phi.w_up
+    up += phi.b_up
+    return pre, hidden, np.add(v, up, out=up)
 
 
 def forward(
@@ -137,9 +145,9 @@ def forward(
 
     When selections is None each class keeps its ceil(rho * T) prompts of
     highest image compatibility, taken from the mean unit feature of this
-    pass; passing an array reuses a frozen choice. Only the selected
-    prompts are scored, each class's in ascending index order: the
-    (N, K, T) tensor over the whole bank is never built here.
+    pass; passing an array reuses a frozen choice. Each class's mean unit
+    selected prompt is scored once: neither the (N, K, T) tensor over the
+    whole bank nor an (N, K * n_sel) one is built here.
     """
     features = proposals.features
     bank = pool.embeddings
@@ -151,16 +159,21 @@ def forward(
     class_dirs = scoring.normalize_rows(proposals.class_embeddings)
     if selections is None:
         selections = scoring.select_prompts(scoring.prompt_compat(unit_features, bank, delta), rho)
-    chosen = scoring.selected_prompts(bank, selections)
-    num_classes, n_sel, d = chosen.shape
-    unit_prompts, prompt_norms = scoring.unit_rows((chosen + delta).reshape(num_classes * n_sel, d))
-    pooled = (unit_features @ unit_prompts.T).reshape(-1, num_classes, n_sel).mean(axis=-1)
+    shifted = scoring.selected_prompts(bank, selections) + delta
+    prompt_norms = np.linalg.norm(shifted, axis=-1, keepdims=True)
+    if np.any(prompt_norms <= scoring.EPS):
+        k, s = np.argwhere(prompt_norms[..., 0] <= scoring.EPS)[0]
+        t = np.sort(selections[k])[s]  # the gather runs in ascending prompt order
+        raise scoring.NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {scoring.EPS}")
+    unit_prompts = shifted / prompt_norms
+    mean_dirs = unit_prompts.mean(axis=1)
+    pooled = unit_features @ mean_dirs.T
     base = unit_features @ class_dirs.T
     return Forward(
         features=features, pre=pre, hidden=hidden, w_up=phi.w_up, adapted=adapted,
         unit_features=unit_features, feature_norms=feature_norms, class_dirs=class_dirs,
         selections=selections, unit_prompts=unit_prompts, prompt_norms=prompt_norms,
-        base=base, pooled=pooled, fused=scoring.fuse(pooled, base, lam),
+        mean_dirs=mean_dirs, base=base, pooled=pooled, fused=scoring.fuse(pooled, base, lam),
         bank=bank, delta=delta, lam=lam,
     )
 
@@ -170,8 +183,10 @@ class _Saved:
     """A forward pass and the objective's constants at its kept rows."""
 
     fwd: Forward
-    kept: np.ndarray   # (M,) proposal indices into the pass
-    coeff: np.ndarray  # (M,) weights / weights.sum()
+    kept: np.ndarray       # (M,) proposal indices into the pass
+    coeff: np.ndarray      # (M,) weights / weights.sum()
+    posterior: np.ndarray  # (M, K) of the kept fused scores
+    entropies: np.ndarray  # (M,)
     kappa: float
 
 
@@ -192,9 +207,10 @@ def objective(fwd: Forward, constants: ObjectiveConstants) -> tuple[float, _Save
         raise ValueError("weights must have a positive sum")
     if constants.lam != fwd.lam or not np.array_equal(constants.selections, fwd.selections):
         raise ValueError("constants and forward pass differ in lam or prompt selections")
-    entropies = scoring.entropy(scoring.posterior(fwd.fused[kept], constants.kappa))
+    p = scoring.posterior(fwd.fused[kept], constants.kappa)
+    entropies = scoring.entropy(p)
     loss = cluster.iwe_loss(entropies, weights)
-    return loss, _Saved(fwd=fwd, kept=kept, coeff=weights / weights.sum(), kappa=constants.kappa)
+    return loss, _Saved(fwd, kept, weights / weights.sum(), p, entropies, constants.kappa)
 
 
 def forward_objective(
@@ -212,22 +228,27 @@ def backward(saved: _Saved) -> Gradients:
     """Gradients of the loss from `objective` by the hand-derived chain rule."""
     f, kept = saved.fwd, saved.kept
     n_sel = f.selections.shape[1]
-    g_fused = saved.coeff[:, None] * _entropy_score_grad(f.fused[kept], saved.kappa)
-    g_sims = np.repeat(f.lam * g_fused / n_sel, n_sel, axis=1)
-    g_base = (1.0 - f.lam) * g_fused
+    g_fused = saved.coeff[:, None] * _entropy_score_grad(saved.posterior, saved.entropies, saved.kappa)
 
     unit_features = f.unit_features[kept]
-    g_unit = g_sims @ f.unit_prompts + g_base @ f.class_dirs
-    g_prompts = _unit_rows_pullback(g_sims.T @ unit_features, f.unit_prompts, f.prompt_norms)
+    g_unit = g_fused @ (f.lam * f.mean_dirs + (1.0 - f.lam) * f.class_dirs)
+    # each selected prompt of a class gets 1 / n_sel of its mean direction's gradient; sums over
+    # kept rows run as (d, M) x (M, .), which a threaded BLAS splits with fewer thread syncs
+    g_mean_dirs = (f.lam / n_sel) * np.ascontiguousarray((unit_features.T @ g_fused).T)
+    g_prompts = _unit_rows_pullback(g_mean_dirs[:, None, :], f.unit_prompts, f.prompt_norms)
     g_adapted = _unit_rows_pullback(g_unit, unit_features, f.feature_norms[kept])
 
-    g_pre = (g_adapted @ f.w_up.T) * gelu_grad(f.pre[kept])
+    if f.w_up.any():
+        g_pre = (g_adapted @ f.w_up.T) * gelu_grad(f.pre[kept])
+        g_w_down, g_b_down = f.features[kept].T @ g_pre, g_pre.sum(axis=0)
+    else:  # a zero up-projection passes no gradient to the down-projection
+        g_w_down, g_b_down = np.zeros(f.w_up.T.shape), np.zeros(f.w_up.shape[0])
     return Gradients(
-        w_down=f.features[kept].T @ g_pre,
-        b_down=g_pre.sum(axis=0),
-        w_up=f.hidden[kept].T @ g_adapted,
+        w_down=g_w_down,
+        b_down=g_b_down,
+        w_up=np.ascontiguousarray((g_adapted.T @ f.hidden[kept]).T),
         b_up=g_adapted.sum(axis=0),
-        delta=g_prompts.sum(axis=0),
+        delta=g_prompts.sum(axis=(0, 1)),
     )
 
 

@@ -33,12 +33,13 @@ class NearZeroRow(ValueError):
 def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(each vector along the last axis scaled to unit L2 norm, the norms with a trailing axis of 1)."""
     m = np.asarray(m, dtype=float)
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    out = m * m  # np.linalg.norm's own sum of squares, in a buffer the unit rows then reuse
+    norms = np.sqrt(out.sum(axis=-1, keepdims=True))
     if np.any(norms <= EPS):
         where = np.argwhere(np.atleast_1d(norms[..., 0] <= EPS))[0].tolist()
         row = where[0] if len(where) == 1 else tuple(where)
         raise NearZeroRow(f"row {row} has norm <= {EPS}; cannot normalize")
-    return m / norms, norms
+    return np.divide(m, norms, out=out), norms
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -60,9 +61,10 @@ def posterior(scores: np.ndarray, kappa: float) -> np.ndarray:
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"kappa must be finite and positive: {kappa}")
     z = kappa * np.asarray(scores, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def entropy(p: np.ndarray) -> np.ndarray:
@@ -105,15 +107,26 @@ def prompt_compat(unit_features: np.ndarray, pool: np.ndarray, delta: np.ndarray
 
     The features must already be unit rows. Cosine is linear in the unit
     feature, so the proposal mean of the prompt scores is each shifted
-    prompt direction against the mean unit feature. It equals
+    prompt against the mean unit feature u: for a prompt e, (e.u + delta.u)
+    / sqrt(|e|^2 + 2 e.delta + |delta|^2), which one (K * T, d) x (d, 2)
+    product gives without shifting the bank. It equals
     `image_prompt_compat(prompt_scores(...))` up to rounding.
     """
     v, e, delta = _prompt_inputs(unit_features, pool, delta)
     if v.shape[0] < 1:
         raise ValueError("expected at least one feature row")
     num_classes, pool_size, d = e.shape
-    shifted = normalize_rows(e + delta).reshape(num_classes * pool_size, d)
-    return (shifted @ v.mean(axis=0)).reshape(num_classes, pool_size)
+    flat, u = e.reshape(num_classes * pool_size, d), v.mean(axis=0)
+    e_u, e_delta = (flat @ np.stack([u, delta], axis=1)).T
+    e_sq, delta_sq = np.einsum("ij,ij->i", flat, flat), delta @ delta
+    num, sq = e_u + delta @ u, e_sq + 2.0 * e_delta + delta_sq
+    # the expansion is rounding error where delta nearly cancels a prompt: shift those directly
+    near = sq <= 1e-8 * (e_sq + delta_sq)
+    num[near], sq[near] = (flat[near] + delta) @ u, np.square(flat[near] + delta).sum(axis=-1)
+    if np.any(sq <= EPS * EPS):
+        k, t = divmod(int(np.argmax(sq <= EPS * EPS)), pool_size)
+        raise NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {EPS}")
+    return (num / np.sqrt(sq)).reshape(num_classes, pool_size)
 
 
 def image_prompt_compat(z: np.ndarray) -> np.ndarray:
@@ -188,4 +201,6 @@ def fuse(prompt_score: np.ndarray, base_score: np.ndarray, lam: float) -> np.nda
     b = np.asarray(base_score, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return lam * a + (1.0 - lam) * b
+    out = lam * a
+    out += (1.0 - lam) * b
+    return out

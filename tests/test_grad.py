@@ -175,6 +175,33 @@ def test_golden_fixture_gradients_match_loop_oracle():
     assert worst <= 1e-7, f"max rel err {worst:.3e}"
 
 
+def test_zero_up_projection_skips_its_products_exactly():
+    # a fresh adapter's W_up is zero: the forward adds b_up without the
+    # hidden @ W_up product, and the backward gives W_down and b_down exact
+    # zeros without theirs; both must agree with the general formulas
+    proposals, pool, state, constants = _fixture()
+    phi = AdapterParams(
+        w_down=state.phi.w_down, b_down=state.phi.b_down,
+        w_up=np.zeros_like(state.phi.w_up), b_up=state.phi.b_up,
+    )
+    state = AdaptState(phi=phi, delta=state.delta)
+    v = proposals.features
+    pre, hidden, adapted = vlodtta.grad.adapter(v, phi)
+    np.testing.assert_array_equal(adapted, v + (hidden @ phi.w_up + phi.b_up))
+
+    grads = backward(forward_objective(proposals, pool, state, constants)[1])
+    assert not grads.w_down.any() and not grads.b_down.any()
+    assert grads.w_down.shape == phi.w_down.shape and grads.b_down.shape == phi.b_down.shape
+    assert np.abs(grads.w_up).max() > 0.0
+    leaves = [phi.w_down, phi.b_down, phi.w_up, phi.b_up, state.delta]
+    numeric = _numeric_grads(lambda _: _oracle_loss(proposals, pool, state, constants), leaves)
+    analytic = [grads.w_down, grads.b_down, grads.w_up, grads.b_up, grads.delta]
+    worst = max(
+        float(np.max(np.abs(a - n) / np.maximum(1.0, np.abs(n)))) for a, n in zip(analytic, numeric)
+    )
+    assert worst <= 1e-7, f"max rel err {worst:.3e}"
+
+
 # -- random-instance checks -------------------------------------------------- #
 
 def test_fd_check_random_instances():
@@ -193,8 +220,7 @@ def test_fd_check_rejects_bad_eps():
 def test_mutation_in_entropy_grad_is_caught(monkeypatch):
     """fd_check must flag a deliberately broken backward formula."""
 
-    def wrong(scores, kappa):
-        p = posterior(scores, kappa)
+    def wrong(p, h, kappa):
         logp = np.log(np.where(p > 0.0, p, 1.0))
         return -kappa * p * logp  # missing the +H term
 

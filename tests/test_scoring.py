@@ -193,6 +193,23 @@ def test_prompt_compat_is_proposal_mean_of_prompt_scores():
     )
 
 
+def test_prompt_compat_names_a_prompt_cancelled_by_delta():
+    rng = np.random.default_rng(31)
+    features = normalize_rows(rng.normal(size=(30, 6)))
+    pool = rng.normal(size=(4, 5, 6))
+    for k in range(4):
+        for t in range(5):
+            with pytest.raises(NearZeroRow, match=rf"^class {k} prompt {t} plus delta has norm"):
+                prompt_compat(features, pool, -pool[k, t])
+    # nearly cancelled: finite, and as close to the dense scores as elsewhere
+    delta = -pool[2, 3] * (1.0 - 1e-9)
+    r = prompt_compat(features, pool, delta)
+    assert np.all(np.isfinite(r))
+    np.testing.assert_allclose(
+        r, image_prompt_compat(prompt_scores(features, pool, delta)), rtol=0.0, atol=1e-12
+    )
+
+
 def test_prompt_compat_rejects_bad_shapes_and_empty():
     with pytest.raises(ValueError):
         prompt_compat(np.ones((2, 3)), np.ones((2, 2, 4)), np.zeros(4))
