@@ -148,7 +148,8 @@ def fused_scores(
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    """What one episode did, in JSON-ready form."""
+    """What one episode did, in JSON-ready form; `grad_norms == {}` means that
+    no objective was computed (no proposals, or lr = 0), so loss and clusters are 0."""
 
     loss: float
     grad_norms: dict[str, float]
@@ -187,8 +188,8 @@ def _predict(fused: np.ndarray, boxes: np.ndarray, cfg: EpisodeConfig) -> list[D
     idx = np.flatnonzero(conf >= cfg.score_thresh)
     kept = idx[geometry.nms(boxes[idx], conf[idx], labels[idx], cfg.nms_iou)]
     return [
-        Detection(box=Box(*boxes[i]), class_id=int(labels[i]), score=float(conf[i]))
-        for i in kept
+        Detection(box=Box(*box), class_id=label, score=score)
+        for box, label, score in zip(boxes[kept].tolist(), labels[kept].tolist(), conf[kept].tolist())
     ]
 
 
@@ -196,6 +197,20 @@ def _empty_trace() -> EpisodeTrace:
     return EpisodeTrace(
         loss=0.0, grad_norms={}, selections=(), cluster_count=0, cluster_sizes={},
         pre_score_range=(0.0, 0.0), post_score_range=(0.0, 0.0), detections=(),
+    )
+
+
+def _trace(pre, post, detections, loss, grad_norms, cluster_sizes) -> EpisodeTrace:
+    """The trace of an episode that scored `pre`, predicted from `post` and found these clusters."""
+    return EpisodeTrace(
+        loss=loss,
+        grad_norms=grad_norms,
+        selections=tuple(map(tuple, pre.selections.tolist())),
+        cluster_count=sum(cluster_sizes.values()),
+        cluster_sizes=cluster_sizes,
+        pre_score_range=(float(pre.fused.min()), float(pre.fused.max())),
+        post_score_range=(float(post.fused.min()), float(post.fused.max())),
+        detections=tuple(detections),
     )
 
 
@@ -231,8 +246,9 @@ def adapt_episode(
     The step returns new parameters that only the post pass reads; `state`
     (zero-init when None) is never written, so no episode depends on the
     ones before it. An empty proposal set yields no detections and no
-    update. Passing a dict as `details` fills it with the full intermediate
-    arrays.
+    update; a zero-size step (lr = 0) predicts from the pre pass and
+    computes no objective. Passing a dict as `details` fills it with the
+    full intermediate arrays (only pre, post and components when lr = 0).
     """
     cfg.validate()
     if proposals.n == 0:
@@ -241,6 +257,13 @@ def adapt_episode(
         state = AdaptState.zero_init(proposals.d, cfg.reduction)
 
     pre = fused_scores(proposals, pool, state.phi, state.delta, cfg)
+    if cfg.lr == 0.0:
+        # phi and delta stay as they were: the post pass would recompute pre
+        detections = _predict(pre.fused, proposals.boxes, cfg)
+        if details is not None:
+            details.update(pre=pre, post=pre, components=[])
+        return detections, _trace(pre, pre, detections, loss=0.0, grad_norms={}, cluster_sizes={})
+
     kept = np.asarray(geometry.top_m_filter(pre.fused, cfg.top_m), dtype=int)
     classes = cluster.predicted_classes(pre.fused[kept])
     assignment = cluster.build_class_graphs(proposals.boxes[kept], classes, cfg.theta)
@@ -250,29 +273,13 @@ def adapt_episode(
     )
     loss, saved = grad.objective(pre, constants)
     grads = grad.backward(saved)
-
-    # a zero-size step leaves phi and delta as they were, so the post pass
-    # would recompute pre exactly
-    if cfg.lr == 0.0:
-        post = pre
-    else:
-        new = state.stepped(grads, cfg.lr)
-        post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections)
+    new = state.stepped(grads, cfg.lr)
+    post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections)
     detections = _predict(post.fused, proposals.boxes, cfg)
 
-    comp_ids, first = np.unique(assignment.component_id, return_index=True)
-    comp_sizes = assignment.component_size[first]
-    sizes, counts = np.unique(comp_sizes, return_counts=True)
-    trace = EpisodeTrace(
-        loss=loss,
-        grad_norms=grads.norms(),
-        selections=tuple(tuple(int(t) for t in row) for row in pre.selections),
-        cluster_count=int(comp_ids.size),
-        cluster_sizes=dict(zip(sizes.tolist(), counts.tolist())),
-        pre_score_range=(float(pre.fused.min()), float(pre.fused.max())),
-        post_score_range=(float(post.fused.min()), float(post.fused.max())),
-        detections=tuple(detections),
-    )
+    _, first = np.unique(assignment.component_id, return_index=True)
+    sizes, counts = np.unique(assignment.component_size[first], return_counts=True)
+    trace = _trace(pre, post, detections, loss, grads.norms(), dict(zip(sizes.tolist(), counts.tolist())))
     if details is not None:
         details.update(
             pre=pre, post=post, kept=kept, assignment=assignment,

@@ -348,10 +348,8 @@ def cmd_episode(config_path: str, scene_index: int, out_path: str) -> int:
         "detections": trace.to_dict()["detections"],
     }
     Path(out_path).write_text(json.dumps(dump, sort_keys=True, indent=1) + "\n")
-    print(
-        f"scene {scene_index}: loss {trace.loss:.6f}, {trace.cluster_count} clusters,"
-        f" {len(dets)} detections; wrote {out_path}"
-    )
+    step = "no step (lr = 0)" if cfg.episode.lr == 0.0 else f"loss {trace.loss:.6f}, {trace.cluster_count} clusters"
+    print(f"scene {scene_index}: {step}, {len(dets)} detections; wrote {out_path}")
     return 0
 
 

@@ -63,19 +63,28 @@ def _box_array(boxes) -> np.ndarray:
     return np.asarray(boxes, dtype=float).reshape(-1, 4)
 
 
-def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise IoU of two broadcastable (..., 4) box arrays.
+def _columns(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous (4, ...) x1, y1, x2, y2 columns of (..., 4) boxes, and their areas."""
+    c = np.ascontiguousarray(np.moveaxis(boxes, -1, 0))
+    return c, (c[2] - c[0]) * (c[3] - c[1])
 
-    iou_matrix and overlap_pairs both go through these operations, so a
-    pair gets the same bits from either.
+
+def _column_iou(a, area_a: np.ndarray, b, area_b: np.ndarray) -> np.ndarray:
+    """Elementwise IoU from broadcastable x1, y1, x2, y2 columns and their areas.
+
+    Every array IoU goes through these operations, which are `iou`'s, so a
+    pair gets the same bits from iou_matrix, overlap_pairs and `iou`.
     """
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
     return np.where(inter > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+
+
+def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise IoU of two broadcastable (..., 4) box arrays."""
+    return _column_iou(*_columns(a), *_columns(b))
 
 
 def iou_matrix(boxes) -> np.ndarray:
@@ -104,7 +113,8 @@ def overlap_pairs(boxes, classes, thresh: float) -> tuple[np.ndarray, np.ndarray
     first = np.repeat(np.arange(n), later)
     offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
     ii, jj = order[first], order[first + 1 + offset]
-    keep = _pair_iou(boxes[ii], boxes[jj]) >= thresh
+    cols, area = _columns(boxes)  # gather 1-D columns and areas, not (P, 4) rows
+    keep = _column_iou([c[ii] for c in cols], area[ii], [c[jj] for c in cols], area[jj]) >= thresh
     return ii[keep], jj[keep]
 
 

@@ -188,7 +188,7 @@ def _small_scenes(draw):
     cfg = EpisodeConfig(
         reduction=draw(st.sampled_from([2, 4])),
         top_m=draw(st.integers(1, 80)),
-        lr=draw(st.sampled_from([CFG.lr, 0.1])),
+        lr=draw(st.sampled_from([0.0, CFG.lr, 0.1])),
     )
     return world, scene_a, scene_b, cfg, draw(st.integers(0, 3))
 
@@ -259,6 +259,36 @@ def test_constants_frozen_one_call_each(monkeypatch):
     world, proposals, _ = _scene(seed=3)
     adapt_episode(proposals, world.pool, CFG)
     assert calls == {"select": 1, "top_m": 1, "graphs": 1}
+
+
+@pytest.mark.parametrize(
+    "method, calls",
+    [("zero_shot", 0), ("prompt_average", 0), ("lr_zero", 0), ("entropy_adapter", 1), ("full", 1)],
+)
+def test_zero_step_episodes_stop_after_scoring(monkeypatch, method, calls):
+    # a zero-step episode needs the pre pass, the score threshold and NMS
+    # only: it never filters, clusters or differentiates
+    counts = {}
+    for module, name in (
+        (vlodtta.geometry, "top_m_filter"),
+        (vlodtta.cluster, "build_class_graphs"),
+        (vlodtta.grad, "objective"),
+        (vlodtta.grad, "backward"),
+    ):
+        def counting(*a, _real=getattr(module, name), _name=name, **k):
+            counts[_name] += 1
+            return _real(*a, **k)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, counting)
+    world, proposals, _ = _scene(seed=11)
+    if method == "lr_zero":
+        adapt_episode(proposals, world.pool, replace(CFG, lr=0.0))
+    elif method == "full":
+        adapt_episode(proposals, world.pool, CFG)
+    else:
+        run_baseline(method, proposals, world.pool, CFG)
+    assert counts == dict.fromkeys(counts, calls)
 
 
 def test_episode_trace_contents():
@@ -465,12 +495,16 @@ def test_zero_step_episode_reuses_the_pre_pass():
     details = {}
     _, frozen = adapt_episode(proposals, world.pool, replace(CFG, lr=0.0), details=details)
     assert details["post"] is details["pre"]
+    assert set(details) == {"pre", "post", "components"} and details["components"] == []
     _, stepped = adapt_episode(proposals, world.pool, CFG, details=details)
     assert details["post"] is not details["pre"]
-    # the objective and its gradient come before the step, so they are still
-    # computed, and do not depend on the step size
-    assert frozen.loss == stepped.loss > 0.0
-    assert frozen.grad_norms == stepped.grad_norms and frozen.grad_norms["w_up"] > 0.0
+    # a zero-size step ends after the pre pass: no objective, no gradient and
+    # no clusters, reported as an empty episode reports them
+    assert frozen.loss == 0.0 and frozen.grad_norms == {}
+    assert frozen.cluster_count == 0 and frozen.cluster_sizes == {}
+    assert stepped.loss > 0.0 and stepped.grad_norms["w_up"] > 0.0
+    assert frozen.selections == stepped.selections
+    assert frozen.pre_score_range == frozen.post_score_range == stepped.pre_score_range
 
 
 def test_post_pass_reuses_frozen_selection():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -206,6 +207,23 @@ def test_bench_reproduces_recorded_metrics(tmp_path, capsys):
     assert set(got) == set(RECORDED_BENCH)
     for key, want in RECORDED_BENCH.items():
         assert got[key] == pytest.approx(want, rel=0.0, abs=1e-9), key
+
+
+# sha256 of the bench CSV of `_doc(n_scenes=5)` and of its episode dump of
+# scene 1 (default episode config, lr > 0). Both depend on the BLAS build,
+# as every last bit of a matrix product does; a deliberate re-base updates
+# them and says so in CHANGES.md.
+BENCH_CSV_SHA256 = "ae428b3aa48388a7213ef3df26a227a0b6ea01dabf78d4e6d4cdfd390acfe8db"
+EPISODE_DUMP_SHA256 = "e21269fcba5777e814e4673ff28f4efae90017c382b74d13f462b3a89c0146d4"
+
+
+def test_bench_csv_and_episode_dump_match_parent_digests(tmp_path, capsys):
+    config = _write(tmp_path, _doc(n_scenes=5))
+    assert cmd_bench(config, str(tmp_path / "bench.csv")) == 0
+    assert cmd_episode(config, 1, str(tmp_path / "episode.json")) == 0
+    capsys.readouterr()
+    for name, want in (("bench.csv", BENCH_CSV_SHA256), ("episode.json", EPISODE_DUMP_SHA256)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
 def test_bench_timing_column(tmp_path, capsys):

@@ -172,6 +172,36 @@ def test_overlap_pairs_matches_dense_oracle():
             np.testing.assert_array_equal(jj[order], want_j, err_msg=f"case {case} at {thresh}")
 
 
+def test_overlap_pairs_matches_scalar_iou_bit_for_bit():
+    # an oracle that shares no array code with overlap_pairs: scalar `iou`
+    # over every same-class pair i < j, listed in the kernel's order (by
+    # class, then row-major); thresholds at each exact pair IoU and at the
+    # next float above it tell a last-bit difference in either direction
+    rng = np.random.default_rng(31)
+    random_rows = _rows(_boxes(60, rng))
+    random_rows[1::4] = random_rows[::4]  # exact duplicates: IoU 1
+    touching = np.array([[0, 0, 2, 2], [2, 0, 4, 2], [0, 2, 2, 4], [2, 2, 4, 4], [0, 0, 2, 2]], float)
+    cases = [
+        (random_rows, rng.integers(0, 3, 60)),
+        (touching, np.zeros(5, int)),
+        (np.vstack([touching, touching + 1.0, random_rows[:10]]), rng.integers(0, 2, 20)),
+    ]
+    for case, (boxes, classes) in enumerate(cases):
+        objs = [Box(*row) for row in boxes.tolist()]
+        pairs = sorted(
+            (int(classes[i]), i, j)
+            for i in range(len(objs))
+            for j in range(i + 1, len(objs))
+            if classes[i] == classes[j]
+        )
+        ious = [iou(objs[i], objs[j]) for _, i, j in pairs]
+        exact = sorted(set(ious))
+        for thresh in [0.0, 1.0, *exact, *np.nextafter(exact, 2.0).tolist()]:
+            want = [(i, j) for (_, i, j), v in zip(pairs, ious) if v >= thresh]
+            ii, jj = overlap_pairs(boxes, classes, thresh)
+            assert list(zip(ii.tolist(), jj.tolist())) == want, (case, thresh)
+
+
 def test_overlap_pairs_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         overlap_pairs(np.zeros((2, 4)), np.zeros(3, int), 0.5)
