@@ -141,9 +141,10 @@ def fused_scores(
     delta: np.ndarray,
     cfg: EpisodeConfig,
     selections: np.ndarray | None = None,
+    reuse: grad.Forward | None = None,
 ) -> grad.Forward:
     """One scoring pass of an episode: `grad.forward` at the config's lam and rho."""
-    return grad.forward(proposals, pool, phi, delta, cfg.lam, selections, cfg.rho)
+    return grad.forward(proposals, pool, phi, delta, cfg.lam, selections, cfg.rho, reuse)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,10 @@ def adapt_episode(
     loss, saved = grad.objective(pre, constants)
     grads = grad.backward(saved)
     new = state.stepped(grads, cfg.lr)
-    post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections)
+    # a zero W_up passes W_down and b_down exact zero gradients (`grad.backward`), so the
+    # step leaves them bit-identical and the post pass takes the pre pass's down-projection
+    reuse = pre if not state.phi.w_up.any() else None
+    post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=reuse)
     detections = _predict(post.fused, proposals.boxes, cfg)
 
     _, first = np.unique(assignment.component_id, return_index=True)

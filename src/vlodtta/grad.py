@@ -8,6 +8,10 @@ weighted mean. `forward` is the fused-score pass, shared by scoring and the
 objective; `objective` takes its kept rows to the loss; `backward` applies
 the hand-derived chain rule to the forward's intermediates; `fd_check`
 verifies the result against central differences.
+
+The GELU's `erf` is a NumPy port of Cephes' `erf` (`ndtr.c`), the code
+`scipy.special.erf` runs for real doubles, in Cephes' operation order, so
+it gives the same bits without importing SciPy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import erf
 
 from . import cluster, scoring
 
@@ -26,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .data import PromptPool, ProposalSet
 
 __all__ = [
+    "erf",
     "gelu",
     "gelu_grad",
     "Gradients",
@@ -41,6 +45,55 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - erfc(|x|) above, with
+# erfc(a) = exp(-a^2) P(a) / Q(a); U and Q have a leading 1, which Cephes' `p1evl` leaves out
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# from here on 1 - erfc rounds to exactly 1 (erfc(8) < 1e-28), so Cephes' second erfc
+# fit (R/S, used at 8 and above) never shows in erf; clamping there also keeps inf finite
+_ERF_SATURATES = 8.0
+
+
+def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes `polevl`: Horner's rule from the leading coefficient, in its operation order.
+
+    With a leading 1.0 it is `p1evl`, since 1.0 * x == x exactly.
+    """
+    out = coef[0] * x
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, elementwise, with the bits of Cephes' (and `scipy.special`'s) `erf`."""
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge |x| overflow here; they are far
+        z = x * x
+        out = x * _horner(z, _ERF_T)
+        out /= _horner(z, _ERF_U)
+    ax = np.abs(x)
+    far = ax > 1.0  # NaN stays on the branch above, which returns it
+    if far.any():
+        a = np.minimum(ax[far], _ERF_SATURATES)
+        # libm's exp, as Cephes calls it: np.exp's SIMD loop can differ in the last bit
+        erfc = np.array([math.exp(-v * v) for v in a.tolist()])
+        erfc *= _horner(a, _ERFC_P)
+        erfc /= _horner(a, _ERFC_Q)
+        out[far] = np.copysign(1.0 - erfc, x[far])
+    return out.reshape(shape)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -125,11 +178,20 @@ class Forward:
         return scoring.prompt_scores(self.adapted, self.bank, self.delta)
 
 
-def adapter(features: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pre-GELU activations, hidden, adapted features) of the residual bottleneck adapter."""
+def adapter(
+    features: np.ndarray, phi: "AdapterParams", down: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pre-GELU activations, hidden, adapted features) of the residual bottleneck adapter.
+
+    `down` is the (pre, hidden) pair of these features under phi's W_down and
+    b_down, when the caller already has it.
+    """
     v = np.asarray(features, dtype=float)
-    pre = v @ phi.w_down + phi.b_down
-    hidden = gelu(pre)
+    if down is None:
+        pre = v @ phi.w_down + phi.b_down
+        hidden = gelu(pre)
+    else:
+        pre, hidden = down
     if not phi.w_up.any():  # as in every fresh adapter: the up-projection adds exactly b_up
         return pre, hidden, v + phi.b_up
     up = hidden @ phi.w_up
@@ -139,7 +201,7 @@ def adapter(features: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.
 
 def forward(
     proposals: "ProposalSet", pool: "PromptPool", phi: "AdapterParams", delta: np.ndarray,
-    lam: float, selections: np.ndarray | None = None, rho: float = 1.0,
+    lam: float, selections: np.ndarray | None = None, rho: float = 1.0, reuse: Forward | None = None,
 ) -> Forward:
     """Adapter, cosine scores, prompt aggregation, and fusion for every proposal.
 
@@ -147,16 +209,18 @@ def forward(
     highest image compatibility, taken from the mean unit feature of this
     pass; passing an array reuses a frozen choice. Each class's mean unit
     selected prompt is scored once: neither the (N, K, T) tensor over the
-    whole bank nor an (N, K * n_sel) one is built here.
+    whole bank nor an (N, K * n_sel) one is built here. `reuse` is an earlier
+    pass over the same proposals under the same W_down and b_down: its `pre`,
+    `hidden` and `class_dirs` are taken as they are.
     """
     features = proposals.features
     bank = pool.embeddings
     delta = np.array(delta, dtype=float)
     if bank.shape[2] != features.shape[1] or delta.shape != (bank.shape[2],):
         raise ValueError(f"incompatible shapes {features.shape}, {bank.shape}, {delta.shape}")
-    pre, hidden, adapted = adapter(features, phi)
+    pre, hidden, adapted = adapter(features, phi, None if reuse is None else (reuse.pre, reuse.hidden))
+    class_dirs = scoring.normalize_rows(proposals.class_embeddings) if reuse is None else reuse.class_dirs
     unit_features, feature_norms = scoring.unit_rows(adapted)
-    class_dirs = scoring.normalize_rows(proposals.class_embeddings)
     if selections is None:
         selections = scoring.select_prompts(scoring.prompt_compat(unit_features, bank, delta), rho)
     shifted = scoring.selected_prompts(bank, selections) + delta

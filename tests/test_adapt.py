@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import vlodtta.cluster
 import vlodtta.geometry
+import vlodtta.grad
 import vlodtta.scoring
 from vlodtta.adapt import (
     AdapterParams,
@@ -512,6 +513,47 @@ def test_post_pass_reuses_frozen_selection():
     details = {}
     adapt_episode(proposals, world.pool, CFG, details=details)
     np.testing.assert_array_equal(details["pre"].selections, details["post"].selections)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
+def test_post_pass_reuses_the_unchanged_down_projection(sim):
+    # from a zero W_up the step gives W_down and b_down exact zero gradients,
+    # so the post pass takes the pre pass's pre-GELU, hidden and class
+    # directions; they must be the bits a fresh computation gives
+    world, proposals, _ = _scene(seed=8, sim=sim)
+    details = {}
+    adapt_episode(proposals, world.pool, CFG, details=details)
+    pre, post = details["pre"], details["post"]
+    assert post.pre is pre.pre and post.hidden is pre.hidden and post.class_dirs is pre.class_dirs
+    new = AdaptState.zero_init(proposals.d, CFG.reduction).stepped(details["grads"], CFG.lr)
+    fresh_pre, fresh_hidden, fresh_adapted = vlodtta.grad.adapter(proposals.features, new.phi)
+    assert np.array_equal(_bits(post.pre), _bits(fresh_pre))
+    assert np.array_equal(_bits(post.hidden), _bits(fresh_hidden))
+    assert np.array_equal(_bits(post.adapted), _bits(fresh_adapted))
+    assert np.array_equal(_bits(post.class_dirs), _bits(normalize_rows(proposals.class_embeddings)))
+
+
+def test_post_pass_recomputes_the_down_projection_of_a_nonzero_up_projection():
+    world, proposals, _ = _scene(seed=8)
+    zero = AdaptState.zero_init(proposals.d, CFG.reduction)
+    rng = np.random.default_rng(3)
+    state = AdaptState(
+        phi=replace(zero.phi, w_up=0.1 * rng.standard_normal(zero.phi.w_up.shape)), delta=zero.delta
+    )
+    details = {}
+    adapt_episode(proposals, world.pool, CFG, state=state, details=details)
+    pre, post = details["pre"], details["post"]
+    assert details["grads"].w_down.any()  # the step moves the down-projection
+    assert post.pre is not pre.pre and not np.array_equal(post.pre, pre.pre)
+    new = state.stepped(details["grads"], CFG.lr)
+    fresh_pre, fresh_hidden, fresh_adapted = vlodtta.grad.adapter(proposals.features, new.phi)
+    assert np.array_equal(_bits(post.pre), _bits(fresh_pre))
+    assert np.array_equal(_bits(post.hidden), _bits(fresh_hidden))
+    assert np.array_equal(_bits(post.adapted), _bits(fresh_adapted))
 
 
 def test_empty_proposals_no_update():

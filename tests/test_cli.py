@@ -379,6 +379,16 @@ def test_module_entry_point_passes_on_exit_code(tmp_path):
     assert "config error" in result.stderr
 
 
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: the package and its CLI must not pull SciPy in
+    code = "import sys, vlodtta, vlodtta.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), timeout=60.0,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_main_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

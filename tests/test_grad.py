@@ -69,6 +69,68 @@ def test_gelu_grad_matches_fd():
     np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-8)
 
 
+# -- erf against its reference ------------------------------------------------ #
+# the port must give scipy.special.erf's bits (SciPy is a test-only dependency)
+
+def _ulps_around(x, n):
+    """2n + 1 consecutive doubles centred on x."""
+    up, down = [x], [x]
+    for _ in range(n):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    return np.array(down[:0:-1] + up)
+
+
+def _erf_samples():
+    rng = np.random.default_rng(20)
+    edges = [_ulps_around(e, 200) for e in (1.0, 8.0)]
+    grids = [np.linspace(e - 0.05, e + 0.05, 20_001) for e in (1.0, 8.0)]
+    sub = np.array([5e-324, 1e-320, 2.2e-308, np.finfo(float).tiny, 1e-300, 1e-160])
+    edge = np.array([0.0, 6.0, 26.5, 27.0, 1e154, 1e200, 1.7e308, np.inf])
+    both = np.concatenate(edges + grids + [sub, edge])
+    return np.concatenate([
+        rng.normal(0.0, 0.2, 100_000),   # GELU inputs: pre / sqrt(2), pre ~ N(0, 1/d)
+        rng.normal(0.0, 1.0, 100_000),
+        rng.uniform(-1.0, 1.0, 100_000),
+        rng.uniform(-6.0, 6.0, 100_000),
+        rng.uniform(-40.0, 40.0, 100_000),
+        both, -both,
+    ])
+
+
+def test_erf_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    xs = _erf_samples()
+    got, want = vlodtta.grad.erf(xs), special.erf(xs)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    wrong = got.view(np.uint64) != want.view(np.uint64)
+    assert not wrong.any(), (xs[wrong][:5], got[wrong][:5], want[wrong][:5])
+    # signed zeros and the infinities, named
+    assert np.signbit(vlodtta.grad.erf(np.array([-0.0])))[0]
+    np.testing.assert_array_equal(vlodtta.grad.erf(np.array([np.inf, -np.inf])), [1.0, -1.0])
+
+
+def test_erf_keeps_shape_and_nan():
+    erf = vlodtta.grad.erf
+    assert np.isnan(erf(np.array([np.nan, 0.5, np.nan]))[[0, 2]]).all()
+    assert erf(np.ones((3, 0))).shape == (3, 0)
+    assert erf(np.full((2, 3), 2.0)).shape == (2, 3)
+    assert erf(0.5).shape == () and float(erf(0.5)) == float(erf(np.array([0.5]))[0])
+
+
+def test_gelu_and_its_grad_match_the_scipy_formulas_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.normal(0.0, 0.3, (400, 16)).ravel(), rng.uniform(-12.0, 12.0, 6_400)])
+    want = 0.5 * x * (1.0 + special.erf(x / math.sqrt(2.0)))
+    want_grad = (
+        0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+        + x * np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    )
+    assert np.array_equal(gelu(x).view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(gelu_grad(x).view(np.uint64), want_grad.view(np.uint64))
+
+
 # -- golden fixture --------------------------------------------------------- #
 
 def _fixture():
