@@ -3,7 +3,7 @@
 from .adapt import AdapterParams, AdaptState, EpisodeConfig, EpisodeTrace, adapt_episode, run_baseline
 from .data import GroundTruth, PromptPool, ProposalSet, scene_from_json, scene_to_json
 from .evaluation import APReport, evaluate
-from .geometry import Box, Detection, iou, iou_matrix, nms, top_m_filter
+from .geometry import Box, Detection, Detections, iou, iou_matrix, nms, top_m_filter
 from .sim import ShiftSpec, SimConfig, Suite, gen_scene_proposals, gen_world, make_suite
 
 __version__ = "0.1.0"
@@ -14,6 +14,7 @@ __all__ = [
     "APReport",
     "Box",
     "Detection",
+    "Detections",
     "EpisodeConfig",
     "EpisodeTrace",
     "GroundTruth",

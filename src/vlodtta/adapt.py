@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import cluster, geometry, grad, scoring
 from .data import PromptPool, ProposalSet
-from .geometry import Box, Detection
+from .geometry import Detections
 
 __all__ = [
     "AdapterParams",
@@ -149,8 +150,9 @@ def fused_scores(
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    """What one episode did, in JSON-ready form; `grad_norms == {}` means that
-    no objective was computed (no proposals, or lr = 0), so loss and clusters are 0."""
+    """What one episode did; `to_dict` gives it in JSON-ready form. `grad_norms == {}`
+    means that no objective was computed (no proposals, or lr = 0), so loss and
+    clusters are 0. `detections` is the episode's `Detections` record."""
 
     loss: float
     grad_norms: dict[str, float]
@@ -159,9 +161,10 @@ class EpisodeTrace:
     cluster_sizes: dict[int, int]               # size -> number of components
     pre_score_range: tuple[float, float]
     post_score_range: tuple[float, float]
-    detections: tuple[Detection, ...]
+    detections: Detections
 
     def to_dict(self) -> dict[str, Any]:
+        dets = self.detections
         return {
             "loss": self.loss,
             "grad_norms": dict(self.grad_norms),
@@ -171,34 +174,39 @@ class EpisodeTrace:
             "pre_score_range": list(self.pre_score_range),
             "post_score_range": list(self.post_score_range),
             "detections": [
-                {
-                    "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
-                    "class_id": d.class_id,
-                    "score": d.score,
-                }
-                for d in self.detections
+                {"box": box, "class_id": class_id, "score": score}
+                for box, class_id, score in zip(
+                    dets.boxes.tolist(), dets.classes.tolist(), dets.scores.tolist()
+                )
             ],
         }
 
 
-def _predict(fused: np.ndarray, boxes: np.ndarray, cfg: EpisodeConfig) -> list[Detection]:
+def _predict(fused: np.ndarray, boxes: np.ndarray, cfg: EpisodeConfig) -> Detections:
     """Max-class posterior confidence, score threshold, then class-wise NMS."""
     probs = scoring.posterior(fused, cfg.kappa)
     conf = probs.max(axis=-1)
     labels = probs.argmax(axis=-1)
     idx = np.flatnonzero(conf >= cfg.score_thresh)
     kept = idx[geometry.nms(boxes[idx], conf[idx], labels[idx], cfg.nms_iou)]
-    return [
-        Detection(box=Box(*box), class_id=label, score=score)
-        for box, label, score in zip(boxes[kept].tolist(), labels[kept].tolist(), conf[kept].tolist())
-    ]
+    return Detections(boxes[kept], conf[kept], labels[kept])
 
 
 def _empty_trace() -> EpisodeTrace:
     return EpisodeTrace(
         loss=0.0, grad_norms={}, selections=(), cluster_count=0, cluster_sizes={},
-        pre_score_range=(0.0, 0.0), post_score_range=(0.0, 0.0), detections=(),
+        pre_score_range=(0.0, 0.0), post_score_range=(0.0, 0.0), detections=Detections.empty(),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _fresh_state(d: int, reduction: int) -> AdaptState:
+    """`AdaptState.zero_init(d, reduction)`, drawn once and read-only, so no
+    episode can change what the next one starts from."""
+    state = AdaptState.zero_init(d, reduction)
+    for a in (state.phi.w_down, state.phi.b_down, state.phi.w_up, state.phi.b_up, state.delta):
+        a.flags.writeable = False
+    return state
 
 
 def _trace(pre, post, detections, loss, grad_norms, cluster_sizes) -> EpisodeTrace:
@@ -211,7 +219,7 @@ def _trace(pre, post, detections, loss, grad_norms, cluster_sizes) -> EpisodeTra
         cluster_sizes=cluster_sizes,
         pre_score_range=(float(pre.fused.min()), float(pre.fused.max())),
         post_score_range=(float(post.fused.min()), float(post.fused.max())),
-        detections=tuple(detections),
+        detections=detections,
     )
 
 
@@ -239,23 +247,28 @@ def adapt_episode(
     cfg: EpisodeConfig,
     state: AdaptState | None = None,
     details: dict[str, Any] | None = None,
-) -> tuple[list[Detection], EpisodeTrace]:
+) -> tuple[Detections, EpisodeTrace]:
     """Adapt on one image with a single gradient step, then predict.
 
     Prompt selections, kept-proposal indices, and entropy weights are all
     frozen before the step; only the adapter and the prompt residual move.
     The step returns new parameters that only the post pass reads; `state`
-    (zero-init when None) is never written, so no episode depends on the
-    ones before it. An empty proposal set yields no detections and no
-    update; a zero-size step (lr = 0) predicts from the pre pass and
-    computes no objective. Passing a dict as `details` fills it with the
-    full intermediate arrays (only pre, post and components when lr = 0).
+    is never written, so no episode depends on the ones before it. When it
+    is None, every episode starts from the same read-only
+    `AdaptState.zero_init(d, reduction)`, drawn once per (d, reduction).
+    The detections come back as a `Detections` record of arrays, which the
+    trace holds too; `Detection` objects are built only when it is
+    iterated. An empty proposal set yields an empty record and no update;
+    a zero-size step (lr = 0) predicts from the pre pass and computes no
+    objective. Passing a dict as `details` fills it with the full
+    intermediate arrays (only pre, post and components when lr = 0).
     """
     cfg.validate()
     if proposals.n == 0:
-        return [], _empty_trace()
+        trace = _empty_trace()
+        return trace.detections, trace
     if state is None:
-        state = AdaptState.zero_init(proposals.d, cfg.reduction)
+        state = _fresh_state(proposals.d, cfg.reduction)
 
     pre = fused_scores(proposals, pool, state.phi, state.delta, cfg)
     if cfg.lr == 0.0:
@@ -265,7 +278,7 @@ def adapt_episode(
             details.update(pre=pre, post=pre, components=[])
         return detections, _trace(pre, pre, detections, loss=0.0, grad_norms={}, cluster_sizes={})
 
-    kept = np.asarray(geometry.top_m_filter(pre.fused, cfg.top_m), dtype=int)
+    kept = geometry.top_m_filter(pre.fused, cfg.top_m)
     classes = cluster.predicted_classes(pre.fused[kept])
     assignment = cluster.build_class_graphs(proposals.boxes[kept], classes, cfg.theta)
     weights = cluster.cluster_weights(assignment, cfg.gamma)
@@ -295,7 +308,7 @@ def adapt_episode(
 
 def run_baseline(
     kind: str, proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig
-) -> list[Detection]:
+) -> Detections:
     """One of the reference pipelines, expressed as a restricted episode.
 
     zero_shot:       no update and no prompt fusion.

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import GroundTruth
-from .geometry import Detection, _box_array, _pair_iou
+from .geometry import Detection, Detections, _box_array, _pair_iou
 from .geometry import iou  # unused: perfbench's tracer counts evaluation.iou calls by name
 
 __all__ = ["IOU_THRESHOLDS", "RECALL_GRID", "APReport", "match_detections", "average_precision", "evaluate"]
@@ -33,8 +33,10 @@ class APReport:
     per_class: dict[int, float]  # class id -> AP averaged over IoU thresholds
 
 
-def _det_arrays(dets: Sequence[Detection]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 4) boxes, (n,) scores and (n,) classes of a detection list."""
+def _det_arrays(dets: Detections | Sequence[Detection]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 4) boxes, (n,) scores and (n,) classes of a detection record or list."""
+    if isinstance(dets, Detections):
+        return dets.boxes, dets.scores, dets.classes
     scores = np.array([d.score for d in dets], dtype=float)
     return _box_array([d.box for d in dets]), scores, np.array([d.class_id for d in dets], dtype=int)
 
@@ -94,7 +96,7 @@ def _interpolated_ap(flags: np.ndarray, n_gt: int) -> np.ndarray:
 
 
 def match_detections(
-    dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_thresh: float
+    dets: Detections | Sequence[Detection], gts: Sequence[GroundTruth], iou_thresh: float
 ) -> tuple[np.ndarray, int]:
     """Greedy TP/FP flags plus the ground-truth count.
 
@@ -119,10 +121,10 @@ def average_precision(flags: np.ndarray, n_gt: int) -> float:
 
 
 def evaluate(
-    detections: Sequence[Sequence[Detection]],
+    detections: Sequence[Detections | Sequence[Detection]],
     ground_truths: Sequence[Sequence[GroundTruth]],
 ) -> APReport:
-    """Dataset-level AP over per-image detection and annotation lists.
+    """Dataset-level AP over per-image detections (records or lists) and annotation lists.
 
     Classes with no ground truth anywhere are excluded from every mean.
     Detections of one class are pooled across images and ranked by score

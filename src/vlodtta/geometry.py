@@ -1,4 +1,5 @@
-"""Axis-aligned box arithmetic: IoU, same-class overlap pairs, greedy NMS, and top-M filtering."""
+"""Axis-aligned box arithmetic: IoU, same-class overlap pairs, greedy NMS, top-M
+filtering, and the struct-of-arrays detection record."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Box", "Detection", "iou", "iou_matrix", "overlap_pairs", "nms", "top_m_filter"]
+__all__ = ["Box", "Detection", "Detections", "iou", "iou_matrix", "overlap_pairs", "nms", "top_m_filter"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,50 @@ class Detection:
             raise ValueError(f"detection score must be finite: {self.score}")
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative: {self.class_id}")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as read-only arrays: `boxes (n, 4)`, `scores (n,)` and `classes (n,)`.
+
+    The record reads as the `Detection` list it stands for: `len`, indexing
+    and iteration build the same `Detection(Box(*floats), int, float)`
+    objects, and it equals another record or a `Detection` list or tuple
+    holding the same detections in the same order. No object is built
+    until the record is indexed or iterated.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    classes: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.scores)
+        if self.boxes.shape != (n, 4) or self.scores.shape != (n,) or self.classes.shape != (n,):
+            raise ValueError(f"{self.boxes.shape} boxes vs {self.scores.shape} scores vs {self.classes.shape} classes")
+        for name in ("boxes", "scores", "classes"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def empty(cls) -> "Detections":
+        return cls(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int))
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+    def __getitem__(self, i: int) -> Detection:
+        return Detection(Box(*self.boxes[i].tolist()), int(self.classes[i]), float(self.scores[i]))
+
+    def __iter__(self):
+        for box, class_id, score in zip(self.boxes.tolist(), self.classes.tolist(), self.scores.tolist()):
+            yield Detection(Box(*box), class_id, score)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Detections, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def iou(a: Box, b: Box) -> float:
@@ -123,9 +168,11 @@ def nms(boxes, scores: np.ndarray, classes: np.ndarray, iou_thresh: float) -> np
 
     Box i is dropped iff an already-kept box of the same class overlaps it
     with IoU >= iou_thresh. Score ties are broken by lower input index.
-    Class-agnostic suppression is one class for every box. The suppressing
-    pairs come from overlap_pairs as a neighbour list (CSR: each box's
-    neighbours are dst[ptr[i]:ptr[i + 1]]), so no N x N matrix is built.
+    Class-agnostic suppression is one class for every box. The boxes are
+    put in rank order first, so in each overlap_pairs pair (i < j) box i
+    outranks box j and only i can suppress j. The pairs become a neighbour
+    list of lower-ranked boxes (CSR: rank r's are dst[ptr[r]:ptr[r + 1]]),
+    so no N x N matrix is built.
     """
     if not (0.0 <= iou_thresh <= 1.0):
         raise ValueError(f"iou_thresh must be in [0, 1]: {iou_thresh}")
@@ -134,23 +181,22 @@ def nms(boxes, scores: np.ndarray, classes: np.ndarray, iou_thresh: float) -> np
     classes = np.asarray(classes)
     if not (scores.shape == classes.shape == boxes.shape[:1]):
         raise ValueError(f"{boxes.shape[0]} boxes vs {scores.shape} scores vs {classes.shape} classes")
-    ii, jj = overlap_pairs(boxes, classes, iou_thresh)
-    src = np.concatenate([ii, jj])
-    by_src = np.argsort(src, kind="stable")
-    dst = np.concatenate([jj, ii])[by_src]
-    ptr = np.searchsorted(src[by_src], np.arange(scores.size + 1)).tolist()
     order = np.lexsort((np.arange(scores.size), -scores))
+    ii, jj = overlap_pairs(boxes[order], classes[order], iou_thresh)
+    by_src = np.argsort(ii, kind="stable")
+    dst = jj[by_src]
+    ptr = np.searchsorted(ii[by_src], np.arange(scores.size + 1)).tolist()
     blocked = np.zeros(scores.size, dtype=bool)
     kept: list[int] = []
-    for i in order.tolist():
-        if not blocked[i]:
-            kept.append(i)
-            blocked[dst[ptr[i]:ptr[i + 1]]] = True
-    return np.array(kept, dtype=int)
+    for r in range(scores.size):
+        if not blocked[r]:
+            kept.append(r)
+            blocked[dst[ptr[r]:ptr[r + 1]]] = True
+    return order[kept]
 
 
-def top_m_filter(scores: np.ndarray, m: int) -> list[int]:
-    """Indices of the min(N, m) rows with the largest row maximum.
+def top_m_filter(scores: np.ndarray, m: int) -> np.ndarray:
+    """Int array of the indices of the min(N, m) rows with the largest row maximum.
 
     Returned in descending order of the row maximum; ties keep the lower
     row index first.
@@ -160,4 +206,4 @@ def top_m_filter(scores: np.ndarray, m: int) -> list[int]:
     scores = np.asarray(scores, dtype=float)
     row_max = scores.max(axis=-1)
     order = np.lexsort((np.arange(row_max.size), -row_max))
-    return [int(i) for i in order[: min(row_max.size, m)]]
+    return order[:m]

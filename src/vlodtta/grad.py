@@ -58,15 +58,21 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
+# each ratio's numerator and denominator as (terms, 2, 1) columns, for one Horner pass over
+# both; T gets a leading 0.0, which leaves its value bit-identical (0 * z + T0 == T0 for a
+# finite z; an infinite z comes from a far x, which the far branch overwrites)
+_ERF_TU = np.array([(0.0, *_ERF_T), _ERF_U]).T[:, :, None]
+_ERFC_PQ = np.array([_ERFC_P, _ERFC_Q]).T[:, :, None]
 # from here on 1 - erfc rounds to exactly 1 (erfc(8) < 1e-28), so Cephes' second erfc
 # fit (R/S, used at 8 and above) never shows in erf; clamping there also keeps inf finite
 _ERF_SATURATES = 8.0
 
 
-def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Cephes `polevl`: Horner's rule from the leading coefficient, in its operation order.
+def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Cephes `polevl` of stacked polynomials at x: (terms, p, 1) coefficients give (p, n).
 
-    With a leading 1.0 it is `p1evl`, since 1.0 * x == x exactly.
+    Horner's rule from the leading coefficient, in Cephes' operation order;
+    with a leading 1.0 it is `p1evl`, since 1.0 * x == x exactly.
     """
     out = coef[0] * x
     out += coef[1]
@@ -82,16 +88,18 @@ def erf(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # huge |x| overflow here; they are far
         z = x * x
-        out = x * _horner(z, _ERF_T)
-        out /= _horner(z, _ERF_U)
+        t, u = _horner(z, _ERF_TU)
+        out = x * t
+        out /= u
     ax = np.abs(x)
     far = ax > 1.0  # NaN stays on the branch above, which returns it
     if far.any():
         a = np.minimum(ax[far], _ERF_SATURATES)
         # libm's exp, as Cephes calls it: np.exp's SIMD loop can differ in the last bit
         erfc = np.array([math.exp(-v * v) for v in a.tolist()])
-        erfc *= _horner(a, _ERFC_P)
-        erfc /= _horner(a, _ERFC_Q)
+        p, q = _horner(a, _ERFC_PQ)
+        erfc *= p
+        erfc /= q
         out[far] = np.copysign(1.0 - erfc, x[far])
     return out.reshape(shape)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlodtta.adapt
 import vlodtta.cluster
 import vlodtta.geometry
 import vlodtta.grad
@@ -28,6 +29,7 @@ from vlodtta.adapt import (
 )
 from vlodtta.checks import nms_detections, reference_components, reference_nms
 from vlodtta.data import ProposalSet
+from vlodtta.evaluation import evaluate
 from vlodtta.grad import Gradients, ObjectiveConstants, backward, forward_objective
 from vlodtta.scoring import (
     NearZeroRow,
@@ -39,7 +41,7 @@ from vlodtta.scoring import (
     prompt_scores,
     select_prompts,
 )
-from vlodtta.sim import ShiftSpec, SimConfig, gen_scene_proposals, gen_world
+from vlodtta.sim import ShiftSpec, SimConfig, gen_scene_proposals, gen_world, make_suite
 
 CFG = EpisodeConfig()
 COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
@@ -302,6 +304,44 @@ def test_episode_trace_contents():
     assert trace.pre_score_range[0] <= trace.pre_score_range[1]
     assert len(trace.detections) == len(dets)
     json.dumps(trace.to_dict())  # must be wire-ready
+
+
+def test_episode_detections_are_one_record_and_dump_as_their_objects():
+    world, proposals, _ = _scene(seed=4)
+    dets, trace = adapt_episode(proposals, world.pool, CFG)
+    assert isinstance(dets, vlodtta.geometry.Detections) and not isinstance(dets, tuple)
+    assert trace.detections is dets
+    want = [
+        {"box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2], "class_id": d.class_id, "score": d.score}
+        for d in dets
+    ]
+    # json.dumps writes floats by repr and rejects NumPy scalars
+    assert json.dumps(trace.to_dict()["detections"]) == json.dumps(want)
+    assert isinstance(run_baseline("zero_shot", proposals, world.pool, CFG), vlodtta.geometry.Detections)
+
+
+def test_evaluate_on_episode_records_matches_their_lists():
+    suite = make_suite(0, 5, SimConfig(), ShiftSpec(magnitude=0.5))
+    records = [adapt_episode(p, suite.world.pool, CFG)[0] for p, _ in suite.scenes]
+    gts = [list(g) for _, g in suite.scenes]
+    got, want = evaluate(records, gts), evaluate([list(r) for r in records], gts)
+    assert got.mean_ap.hex() == want.mean_ap.hex()
+    assert {k: v.hex() for k, v in got.per_class.items()} == {k: v.hex() for k, v in want.per_class.items()}
+
+
+def test_default_state_is_drawn_once_and_read_only():
+    world, proposals, _ = _scene(seed=12)
+    state = vlodtta.adapt._fresh_state(proposals.d, CFG.reduction)
+    assert vlodtta.adapt._fresh_state(proposals.d, CFG.reduction) is state
+    want = AdaptState.zero_init(proposals.d, CFG.reduction)
+    pairs = [(getattr(state.phi, name), getattr(want.phi, name)) for name in ("w_down", "b_down", "w_up", "b_up")]
+    for got, ref in pairs + [(state.delta, want.delta)]:
+        assert not got.flags.writeable
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        state.phi.w_down[0, 0] = 1.0
+    # an episode without a state starts from it, as from a fresh zero_init
+    assert adapt_episode(proposals, world.pool, CFG) == adapt_episode(proposals, world.pool, CFG, state=want)
 
 
 def test_episode_details_dict():

@@ -17,7 +17,7 @@ from vlodtta.evaluation import (
     evaluate,
     match_detections,
 )
-from vlodtta.geometry import Box, Detection, iou
+from vlodtta.geometry import Box, Detection, Detections, iou
 
 # frozen from the reference implementation below (agreement was ~4e-16)
 FIXTURE_MEAN_AP = 0.5481848184818481
@@ -409,6 +409,31 @@ def test_evaluate_matches_the_scalar_oracle_bit_for_bit():
     instances = [_random_instance(seed) for seed in range(300)] + [_edge_instance()]
     for dets, gts in instances:
         assert _bits(evaluate(dets, gts)) == _bits(_oracle_evaluate(dets, gts))
+
+
+def _record(dets):
+    """The Detections record of a Detection list."""
+    return Detections(
+        np.array([[d.box.x1, d.box.y1, d.box.x2, d.box.y2] for d in dets]).reshape(-1, 4),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.class_id for d in dets], dtype=int),
+    )
+
+
+def test_evaluate_on_records_matches_their_lists_bit_for_bit():
+    instances = [_random_instance(seed) for seed in range(100)] + [_edge_instance()]
+    for dets, gts in instances:
+        records = [_record(image_dets) for image_dets in dets]
+        want = _bits(evaluate([list(r) for r in records], gts))
+        assert want == _bits(evaluate(dets, gts))
+        assert _bits(evaluate(records, gts)) == want
+        # records and lists mix, image by image
+        mixed = [r if i % 2 else list(r) for i, r in enumerate(records)]
+        assert _bits(evaluate(mixed, gts)) == want
+        for record, image_gts in zip(records, gts):
+            np.testing.assert_array_equal(
+                match_detections(record, image_gts, 0.5)[0], match_detections(list(record), image_gts, 0.5)[0]
+            )
 
 
 @pytest.mark.parametrize("thresh", [0.0, 0.5, 0.95, 1.0])

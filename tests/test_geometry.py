@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlodtta.checks import nms_detections, reference_nms
-from vlodtta.geometry import Box, Detection, iou, iou_matrix, nms, overlap_pairs, top_m_filter
+from vlodtta.geometry import Box, Detection, Detections, iou, iou_matrix, nms, overlap_pairs, top_m_filter
 
 
 def _cell_count_iou(a: Box, b: Box) -> float:
@@ -221,6 +221,19 @@ def test_nms_matches_reference():
         got = nms_detections(dets, thresh, None if class_wise else np.zeros(n, int))
         want = reference_nms(dets, thresh, class_wise=class_wise)
         assert got == want, f"trial {trial}"
+    # a few score levels, so ties are common: the tie-break lives in the rank
+    # order that nms hands to overlap_pairs
+    for trial in range(60):
+        n = int(rng.integers(1, 60))
+        dets = [
+            Detection(b, int(rng.integers(0, 4)), float(rng.integers(0, 4)) / 4.0)
+            for b in _boxes(n, rng)
+        ]
+        thresh = float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+        class_wise = bool(rng.integers(0, 2))
+        got = nms_detections(dets, thresh, None if class_wise else np.zeros(n, int))
+        want = reference_nms(dets, thresh, class_wise=class_wise)
+        assert got == want, f"tied trial {trial}"
 
 
 def test_nms_keeps_all_when_disjoint():
@@ -279,13 +292,13 @@ def test_top_m_returns_best_rows():
         [0.8, 0.3],
         [0.05, 0.01],
     ])
-    assert top_m_filter(scores, 2) == [0, 2]
-    assert top_m_filter(scores, 10) == [0, 2, 1, 3]
+    assert top_m_filter(scores, 2).tolist() == [0, 2]
+    assert top_m_filter(scores, 10).tolist() == [0, 2, 1, 3]
 
 
 def test_top_m_tie_break_by_index():
     scores = np.array([[0.5], [0.5], [0.5]])
-    assert top_m_filter(scores, 2) == [0, 1]
+    assert top_m_filter(scores, 2).tolist() == [0, 1]
 
 
 def test_top_m_selected_dominate_unselected():
@@ -297,3 +310,65 @@ def test_top_m_selected_dominate_unselected():
     worst_kept = min(scores[i].max() for i in picked)
     rest = [scores[i].max() for i in range(50) if i not in set(picked)]
     assert worst_kept >= max(rest)
+
+
+# -- the detection record ----------------------------------------------------- #
+
+def _record_and_list(n, seed=3):
+    rng = np.random.default_rng(seed)
+    boxes = np.array([[b.x1, b.y1, b.x2, b.y2] for b in _boxes(n, rng)]).reshape(-1, 4)
+    scores = rng.uniform(0, 1, size=n)
+    classes = rng.integers(0, 5, size=n)
+    as_list = [
+        Detection(Box(*row), label, score)
+        for row, label, score in zip(boxes.tolist(), classes.tolist(), scores.tolist())
+    ]
+    return Detections(boxes, scores, classes), as_list
+
+
+def _exact(d: Detection):
+    """A detection's fields with their Python types, floats as exact hex."""
+    coords = (d.box.x1, d.box.y1, d.box.x2, d.box.y2)
+    assert all(type(c) is float for c in coords) and type(d.class_id) is int and type(d.score) is float
+    return tuple(c.hex() for c in coords), d.class_id, d.score.hex()
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_detections_record_reads_as_its_detection_list(n):
+    record, as_list = _record_and_list(n)
+    assert len(record) == len(as_list) == n
+    assert [_exact(d) for d in record] == [_exact(d) for d in as_list]
+    assert [_exact(record[i]) for i in range(-n, n)] == [_exact(d) for d in as_list + as_list]
+    with pytest.raises(IndexError):
+        record[n]
+    assert record == as_list and as_list == record and record == tuple(as_list)
+    assert record == Detections(record.boxes.copy(), record.scores.copy(), record.classes.copy())
+    assert bool(record) == bool(as_list)
+    if n:
+        assert record != as_list[1:]
+    if n > 1:
+        assert record != as_list[::-1]
+    assert record != "not detections"
+
+
+def test_empty_detections_record():
+    empty = Detections.empty()
+    assert len(empty) == 0 and list(empty) == [] and empty == [] and empty == ()
+    assert empty.boxes.shape == (0, 4) and empty.scores.shape == (0,) and empty.classes.shape == (0,)
+
+
+def test_detections_record_is_read_only_and_checks_shapes():
+    record, _ = _record_and_list(4)
+    for a in (record.boxes, record.scores, record.classes):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the record holds views: the caller's arrays stay writable
+    boxes = np.array([[0.0, 0.0, 1.0, 1.0]])
+    Detections(boxes, np.ones(1), np.zeros(1, int))
+    boxes[0, 0] = -1.0
+    with pytest.raises(ValueError):
+        Detections(np.zeros((2, 4)), np.ones(3), np.zeros(3, int))
+    with pytest.raises(ValueError):
+        Detections(np.zeros((2, 3)), np.ones(2), np.zeros(2, int))
+    with pytest.raises(ValueError):
+        Detections(np.zeros((2, 4)), np.ones(2), np.zeros(1, int))
