@@ -112,7 +112,7 @@ class EpisodeConfig:
     score_thresh: float = 0.1
     reduction: int = 16       # adapter bottleneck ratio
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0: {self.gamma}")
         if not (0.0 <= self.theta <= 1.0):
@@ -263,7 +263,6 @@ def adapt_episode(
     objective. Passing a dict as `details` fills it with the full
     intermediate arrays (only pre, post and components when lr = 0).
     """
-    cfg.validate()
     if proposals.n == 0:
         trace = _empty_trace()
         return trace.detections, trace

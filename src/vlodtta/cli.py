@@ -41,7 +41,7 @@ SWEEP_PARAMS = ("gamma", "theta", "lambda", "rho", "top_m")
 
 
 class ConfigError(ValueError):
-    """A run configuration does not parse or validate."""
+    """A run configuration does not parse, or describes an invalid run."""
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,7 @@ class RunConfig:
     methods: tuple[str, ...] = METHODS
     measure_time: bool = False  # wall-clock timing breaks byte-level reproducibility
 
-    def validate(self) -> None:
-        try:
-            self.episode.validate()
-            self.sim.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def __post_init__(self) -> None:
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1: {self.seeds}")
         if self.n_scenes < 1:
@@ -150,7 +145,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"section {key!r} must be an object")
     _check_json_types(RunConfig, doc, "config")
-    cfg = RunConfig(
+    return RunConfig(
         episode=episode_config_from_dict(doc.get("episode", {})),
         sim=_from_mapping(SimConfig, doc.get("sim", {}), "sim"),
         shift=_from_mapping(ShiftSpec, doc.get("shift", {}), "shift"),
@@ -159,8 +154,6 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         methods=tuple(doc.get("methods", METHODS)),
         measure_time=doc.get("measure_time", False),
     )
-    cfg.validate()
-    return cfg
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -331,7 +324,7 @@ def cmd_episode(config_path: str, scene_index: int, out_path: str) -> int:
             file=sys.stderr,
         )
         return 2
-    suite = make_suite(0, cfg.n_scenes, cfg.sim, cfg.shift)
+    suite = make_suite(0, scene_index + 1, cfg.sim, cfg.shift)
     proposals, gts = suite.scenes[scene_index]
     details: dict = {}
     dets, trace = adapt_episode(proposals, suite.world.pool, cfg.episode, details=details)
@@ -377,29 +370,28 @@ def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) ->
         return 2
     field_name = "lam" if param == "lambda" else param
     try:
-        # validate checks top_m's range only, and int() would truncate or overflow
+        # EpisodeConfig checks top_m's range only, and int() would truncate or overflow
         if param == "top_m" and not all(float(v).is_integer() for v in grid):
             raise ValueError(f"top_m must be an integer: {grid}")
         casts = [int(v) if param == "top_m" else float(v) for v in grid]
         episode_cfgs = [replace(cfg.episode, **{field_name: cast}) for cast in casts]
-        for episode_cfg in episode_cfgs:
-            episode_cfg.validate()
     except ValueError as exc:
         print(f"bad grid for {param}: {exc}", file=sys.stderr)
         return 2
+    swept = [replace(cfg, episode=episode_cfg, methods=("vlodtta",)) for episode_cfg in episode_cfgs]
+    reports = [[] for _ in swept]  # reports[value index][base seed]
+    for base_seed in range(cfg.seeds):
+        suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
+        for per_value, value_cfg in zip(reports, swept):
+            per_value.append(_method_report("vlodtta", suite, value_cfg)[0])
     lines = [_header_block(cfg), ",".join(SWEEP_COLUMNS) + "\n"]
-    for cast, episode_cfg in zip(casts, episode_cfgs):
-        swept = replace(cfg, episode=episode_cfg, methods=("vlodtta",))
-        means = []
-        for base_seed in range(cfg.seeds):
-            suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-            report, _ = _method_report("vlodtta", suite, swept)
+    for cast, per_value in zip(casts, reports):
+        for base_seed, report in enumerate(per_value):
             lines.append(
                 f"{param},{cast!r},{base_seed},{cfg.n_scenes},"
                 f"{report.mean_ap!r},{report.ap50!r},{report.ap75!r}\n"
             )
-            means.append(report.mean_ap)
-        print(f"{param} = {cast}: mean mAP {_mean(means):.4f} over {cfg.seeds} seeds")
+        print(f"{param} = {cast}: mean mAP {_mean(r.mean_ap for r in per_value):.4f} over {cfg.seeds} seeds")
     Path(out_path).write_text("".join(lines))
     print(f"wrote {out_path}")
     return 0

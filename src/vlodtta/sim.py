@@ -62,8 +62,8 @@ class ShiftSpec:
     def __post_init__(self) -> None:
         if not (0.0 <= self.magnitude <= 1.0):
             raise ValueError(f"magnitude must be in [0, 1]: {self.magnitude}")
-        if self.noise_amp < 1.0:
-            raise ValueError(f"noise_amp must be >= 1: {self.noise_amp}")
+        if not (math.isfinite(self.noise_amp) and self.noise_amp >= 1.0):
+            raise ValueError(f"noise_amp must be finite and >= 1: {self.noise_amp}")
 
     def direction(self, d: int) -> np.ndarray:
         """Unit vector the shift rotates prototypes toward."""
@@ -95,7 +95,7 @@ class SimConfig:
     quality_spread: float = 1.0
     aligned_fraction: float = 0.25
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.d < 2 or self.num_classes < 2 or self.pool_size < 1:
             raise ValueError("need d >= 2, num_classes >= 2, pool_size >= 1")
         if self.extent[0] < 16 or self.extent[1] < 16:
@@ -110,17 +110,23 @@ class SimConfig:
             raise ValueError("bad distractor size range")
         if self.background < 0:
             raise ValueError(f"background must be >= 0: {self.background}")
-        if self.jitter < 0.0 or self.feature_noise < 0.0 or self.quality_spread < 0.0:
-            raise ValueError("jitter, feature_noise, quality_spread must be >= 0")
+        for name in ("jitter", "feature_noise", "quality_spread"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0: {value}")
         if not (0.0 < self.aligned_fraction <= 1.0):
             raise ValueError(f"aligned_fraction must be in (0, 1]: {self.aligned_fraction}")
 
 
 @dataclass(frozen=True)
 class World:
-    """Class prototypes, detector text embeddings, and the prompt pool."""
+    """Class prototypes, detector text embeddings and the prompt pool, with the
+    profile and shift the world was built under and everything its scenes read."""
 
+    cfg: SimConfig
+    shift: ShiftSpec
     prototypes: np.ndarray        # (K, d) unit rows
+    shifted: np.ndarray           # (K, d) prototypes rotated toward the shift direction
     class_embeddings: np.ndarray  # (K, d) what the detector scores against
     pool: PromptPool
     aligned: np.ndarray           # (K, n_aligned) prompt slots built along the shift direction
@@ -153,9 +159,10 @@ def gen_world(seed: int, cfg: SimConfig, shift: ShiftSpec) -> World:
     Prompt slot t is the prototype plus a perturbation of magnitude
     qualities[t] (linear across the pool, up to quality_spread). For the
     aligned slots the perturbation points along the shift direction; the
-    rest get random directions.
+    rest get random directions, one stacked draw in (class, slot) order.
+    The world keeps cfg and shift, and the prototypes rotated toward the
+    shift direction by its magnitude, so every scene reads them from here.
     """
-    cfg.validate()
     g = _generator(seed, _WORLD_STREAM)
     num_classes, pool_size, d = cfg.num_classes, cfg.pool_size, cfg.d
     prototypes = normalize_rows(g.standard_normal((num_classes, d)))
@@ -169,17 +176,17 @@ def gen_world(seed: int, cfg: SimConfig, shift: ShiftSpec) -> World:
     aligned = np.stack(
         [np.sort(g.choice(pool_size, size=n_aligned, replace=False)) for _ in range(num_classes)]
     )
-    pool = np.empty((num_classes, pool_size, d))
-    for k in range(num_classes):
-        aligned_k = set(aligned[k].tolist())
-        for t in range(pool_size):
-            if t in aligned_k:
-                direction_kt = direction
-            else:
-                direction_kt = normalize_rows(g.standard_normal((1, d)))[0]
-            pool[k, t] = prototypes[k] + qualities[t] * direction_kt
+    is_aligned = np.zeros((num_classes, pool_size), dtype=bool)
+    np.put_along_axis(is_aligned, aligned, True, axis=1)
+    directions = np.empty((num_classes, pool_size, d))
+    directions[is_aligned] = direction
+    directions[~is_aligned] = normalize_rows(g.standard_normal((num_classes * (pool_size - n_aligned), d)))
+    pool = prototypes[:, None, :] + qualities[:, None] * directions
     return World(
+        cfg=cfg,
+        shift=shift,
         prototypes=prototypes,
+        shifted=np.stack([_rotate_toward(p, direction, shift.magnitude) for p in prototypes]),
         class_embeddings=prototypes.copy(),
         pool=PromptPool(embeddings=normalize_rows(pool)),
         aligned=aligned,
@@ -249,26 +256,21 @@ def _mixed_features(
     return normalize_rows(raw)
 
 
-def gen_scene_proposals(
-    seed: int, cfg: SimConfig, world: World, shift: ShiftSpec
-) -> tuple[ProposalSet, list[GroundTruth]]:
-    """One scene: objects with proposal clusters, distractors, and background.
+def gen_scene_proposals(seed: int, world: World) -> tuple[ProposalSet, list[GroundTruth]]:
+    """One scene of a world: objects with proposal clusters, distractors, and background.
 
-    Each object's proposals mix the object's shifted prototype with unit
-    noise; the signal share alpha rises linearly with the proposal's IoU
-    against the ground-truth box, floored at 0.2. A distractor cluster
-    copies a wrong class's prototype at reduced alpha and sits next to its
-    object. Background proposals are pure noise.
+    Each object's proposals mix the object's shifted prototype (`world.shifted`)
+    with unit noise scaled by the profile's feature noise and the shift's
+    noise factor; the signal share alpha rises linearly with the proposal's
+    IoU against the ground-truth box, floored at 0.2. A distractor cluster
+    copies a wrong class's shifted prototype at reduced alpha and sits next to
+    its object. Background proposals are pure noise.
     """
-    cfg.validate()
+    cfg, shifted = world.cfg, world.shifted
     g = _generator(seed, _SCENE_STREAM)
     width, height = float(cfg.extent[0]), float(cfg.extent[1])
     num_classes, d = cfg.num_classes, cfg.d
-    direction = shift.direction(d)
-    shifted = np.stack(
-        [_rotate_toward(world.prototypes[k], direction, shift.magnitude) for k in range(num_classes)]
-    )
-    noise_scale = cfg.feature_noise * shift.noise_factor()
+    noise_scale = cfg.feature_noise * world.shift.noise_factor()
 
     gts: list[GroundTruth] = []
     box_chunks: list[np.ndarray] = []
@@ -318,12 +320,13 @@ def gen_scene_proposals(
 
 
 def make_suite(base_seed: int, n_scenes: int, cfg: SimConfig, shift: ShiftSpec) -> Suite:
-    """A world plus n_scenes scenes; scene i uses seed base_seed * 1000003 + i."""
+    """The world of base_seed plus n_scenes scenes drawn from it; scene i uses
+    seed base_seed * SEED_SCALE + i and does not depend on n_scenes."""
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1: {n_scenes}")
     world = gen_world(base_seed, cfg, shift)
     scenes = []
     for i in range(n_scenes):
-        proposals, gts = gen_scene_proposals(base_seed * SEED_SCALE + i, cfg, world, shift)
+        proposals, gts = gen_scene_proposals(base_seed * SEED_SCALE + i, world)
         scenes.append((proposals, tuple(gts)))
     return Suite(world=world, scenes=tuple(scenes))

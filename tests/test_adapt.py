@@ -41,7 +41,7 @@ from vlodtta.scoring import (
     prompt_scores,
     select_prompts,
 )
-from vlodtta.sim import ShiftSpec, SimConfig, gen_scene_proposals, gen_world, make_suite
+from vlodtta.sim import SEED_SCALE, ShiftSpec, SimConfig, gen_scene_proposals, gen_world, make_suite
 
 CFG = EpisodeConfig()
 COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
@@ -50,7 +50,7 @@ COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, object
 def _scene(seed=0, magnitude=0.5, sim=SimConfig()):
     shift = ShiftSpec(magnitude=magnitude)
     world = gen_world(seed, sim, shift)
-    proposals, gts = gen_scene_proposals(seed * 1_000_003, sim, world, shift)
+    proposals, gts = gen_scene_proposals(seed * SEED_SCALE, world)
     return world, proposals, gts
 
 
@@ -186,7 +186,7 @@ def _small_scenes(draw):
     shift = ShiftSpec(magnitude=draw(st.sampled_from([0.0, 0.5])))
     world = gen_world(draw(st.integers(0, 2**16)), sim, shift)
     scene_a, scene_b = (
-        gen_scene_proposals(draw(st.integers(0, 2**16)), sim, world, shift)[0] for _ in range(2)
+        gen_scene_proposals(draw(st.integers(0, 2**16)), world)[0] for _ in range(2)
     )
     cfg = EpisodeConfig(
         reduction=draw(st.sampled_from([2, 4])),
@@ -402,7 +402,7 @@ def test_compat_and_selected_scoring_match_the_dense_tensor(sim, n_scenes):
     pool = world.pool.embeddings
     full = EpisodeConfig(rho=1.0)
     for seed in range(n_scenes):
-        proposals, _ = gen_scene_proposals(seed * 1_000_003, sim, world, shift)
+        proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
         for state in _stepped_states(world, proposals):
             adapted = apply_adapter(proposals.features, state.phi)
             z = prompt_scores(adapted, pool, state.delta)
@@ -641,8 +641,10 @@ def test_config_validation():
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            EpisodeConfig(**kwargs).validate()
-    EpisodeConfig().validate()
+            EpisodeConfig(**kwargs)
+        with pytest.raises(ValueError):
+            replace(CFG, **kwargs)
+    EpisodeConfig()
 
 
 def test_incompatible_reduction_raises():

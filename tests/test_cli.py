@@ -8,12 +8,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import vlodtta
+from vlodtta.adapt import EpisodeConfig
 from vlodtta.cli import (
     CSV_COLUMNS,
     EPISODE_DUMP_SCHEMA,
@@ -139,6 +141,20 @@ def test_malformed_configs_end_in_a_config_error(tmp_path, capsys, over, fragmen
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "over, fragment",
+    [
+        ({"seeds": 0}, "seeds"),
+        ({"methods": ()}, "empty"),
+        ({"methods": ("zs", "zs")}, "duplicate"),
+        ({"episode": EpisodeConfig(reduction=5)}, "divisible"),
+    ],
+)
+def test_run_config_cannot_be_built_invalid(over, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        replace(run_config_from_dict(_doc()), **over)
 
 
 def test_float_fields_accept_json_integers():
@@ -326,6 +342,16 @@ def test_sweep_gamma_zero_equals_entropy_baseline(tmp_path, capsys):
         assert srow[0] == "gamma" and srow[1] == "0.0"
         assert srow[2] == brow[1]  # base seed
         assert srow[4:7] == brow[4:7]  # identical mAP / AP50 / AP75 strings
+
+
+SWEEP_CSV_SHA256 = "4e18e72dede8a4a6bd67070b08881ac16d6a91a290373331f01335891931237c"
+
+
+def test_sweep_csv_matches_recorded_digest(tmp_path, capsys):
+    config = _write(tmp_path, _doc(seeds=3, n_scenes=3))
+    assert cmd_sweep(config, "lambda", [0.0, 0.3, 0.6, 0.9], str(tmp_path / "sweep.csv")) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == SWEEP_CSV_SHA256
 
 
 def test_sweep_top_m_casts_to_int(tmp_path, capsys):

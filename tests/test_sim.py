@@ -3,8 +3,10 @@ bounds, selection recoverability, and the shift-actually-hurts property."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,12 +44,12 @@ def test_world_is_deterministic():
 def test_scene_is_deterministic():
     shift = ShiftSpec(magnitude=0.5)
     world = gen_world(0, SIM, shift)
-    pa, gta = gen_scene_proposals(7, SIM, world, shift)
-    pb, gtb = gen_scene_proposals(7, SIM, world, shift)
+    pa, gta = gen_scene_proposals(7, world)
+    pb, gtb = gen_scene_proposals(7, world)
     np.testing.assert_array_equal(pa.boxes, pb.boxes)
     np.testing.assert_array_equal(pa.features, pb.features)
     assert gta == gtb
-    pc, _ = gen_scene_proposals(8, SIM, world, shift)
+    pc, _ = gen_scene_proposals(8, world)
     assert not np.array_equal(pa.boxes, pc.boxes)
 
 
@@ -58,7 +60,7 @@ def test_world_and_scene_rows_are_unit():
     np.testing.assert_allclose(
         np.linalg.norm(world.pool.embeddings, axis=-1), 1.0, atol=1e-12
     )
-    proposals, _ = gen_scene_proposals(2, SIM, world, shift)
+    proposals, _ = gen_scene_proposals(2, world)
     np.testing.assert_allclose(np.linalg.norm(proposals.features, axis=-1), 1.0, atol=1e-12)
 
 
@@ -111,7 +113,7 @@ def test_aligned_slots_point_along_shift_direction():
 def test_default_profile_seed0_bounds_and_coverage():
     shift = ShiftSpec(magnitude=0.5)
     world = gen_world(0, SIM, shift)
-    proposals, gts = gen_scene_proposals(0, SIM, world, shift)
+    proposals, gts = gen_scene_proposals(0, world)
     n_obj = len(gts)
     assert SIM.objects_min <= n_obj <= SIM.objects_max
     lo = n_obj * SIM.proposals_min + SIM.background
@@ -126,11 +128,22 @@ def test_default_profile_seed0_bounds_and_coverage():
         assert best >= 0.5, f"object {gt} has no proposal above IoU 0.5"
 
 
+def test_world_carries_its_profile_shift_and_shifted_prototypes():
+    sim = SimConfig(d=16, num_classes=4)
+    still = gen_world(6, sim, ShiftSpec(magnitude=0.0))
+    assert still.cfg is sim and still.shift == ShiftSpec(magnitude=0.0)
+    np.testing.assert_array_equal(still.shifted, still.prototypes)
+    moved = gen_world(6, sim, ShiftSpec(magnitude=1.0))
+    np.testing.assert_array_equal(moved.prototypes, still.prototypes)
+    target = ShiftSpec().direction(sim.d)
+    np.testing.assert_allclose(moved.shifted, np.broadcast_to(target, moved.shifted.shape), atol=1e-12)
+
+
 def test_make_suite_seed_derivation():
     shift = ShiftSpec(magnitude=0.5)
     suite = make_suite(3, 4, SIM, shift)
     assert len(suite.scenes) == 4
-    direct, _ = gen_scene_proposals(3 * SEED_SCALE + 2, SIM, suite.world, shift)
+    direct, _ = gen_scene_proposals(3 * SEED_SCALE + 2, suite.world)
     np.testing.assert_array_equal(suite.scenes[2][0].features, direct.features)
 
 
@@ -147,6 +160,11 @@ def test_shift_spec_validation():
         ShiftSpec(magnitude=1.5)
     with pytest.raises(ValueError):
         ShiftSpec(noise_amp=0.5)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise_amp must be finite"):
+            ShiftSpec(noise_amp=value)
+        with pytest.raises(ValueError, match="noise_amp must be finite"):
+            replace(ShiftSpec(), noise_amp=value)
 
 
 def test_sim_config_validation():
@@ -159,8 +177,14 @@ def test_sim_config_validation():
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            SimConfig(**kwargs).validate()
-    SimConfig().validate()
+            SimConfig(**kwargs)
+        with pytest.raises(ValueError):
+            replace(SIM, **kwargs)
+    for name in ("jitter", "feature_noise", "quality_spread"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SimConfig(**{name: value})
+    SimConfig()
 
 
 def test_selection_recovers_aligned_prompts_under_shift():
@@ -172,7 +196,7 @@ def test_selection_recovers_aligned_prompts_under_shift():
         fractions = []
         for seed in range(20):
             world = gen_world(seed, SIM, shift)
-            proposals, _ = gen_scene_proposals(seed * SEED_SCALE, SIM, world, shift)
+            proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
             state = AdaptState.zero_init(proposals.d, cfg.reduction)
             scores = fused_scores(proposals, world.pool, state.phi, state.delta, cfg)
             for k in range(SIM.num_classes):
@@ -283,7 +307,43 @@ def test_ground_truth_boxes_hold_python_floats():
     sim = SimConfig(jitter=3.0, distractor_prob=1.0)
     shift = ShiftSpec(magnitude=0.5)
     world = gen_world(0, sim, shift)
-    _, gts = gen_scene_proposals(5, sim, world, shift)
+    _, gts = gen_scene_proposals(5, world)
     for gt in gts:
         coords = (gt.box.x1, gt.box.y1, gt.box.x2, gt.box.y2)
         assert all(type(c) is float for c in coords)
+
+
+def _suite_digest(suite) -> str:
+    """sha256 over a suite's world arrays and every scene's boxes, features and ground truth."""
+    h = hashlib.sha256()
+    world = suite.world
+    for arr in (world.prototypes, world.class_embeddings, world.pool.embeddings, world.aligned, world.qualities):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for proposals, gts in suite.scenes:
+        for arr in (proposals.boxes, proposals.features, proposals.class_embeddings):
+            h.update(repr((arr.dtype.str, arr.shape)).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(repr([(gt.box.x1, gt.box.y1, gt.box.x2, gt.box.y2, gt.class_id) for gt in gts]).encode())
+    return h.hexdigest()
+
+
+COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
+TINY_SIM = SimConfig(d=8, num_classes=3, pool_size=1, distractor_prob=1.0)
+
+# recorded when every prompt slot had its own draw and every scene rotated the
+# prototypes itself; a change to any draw, its order or a rounding step moves them
+SUITE_SHA256 = {
+    ("desk", 0.0): "da1eb500e03b9e0a0a174c6e11f3426ed1f09699e116e46539505ce4e76ac723",
+    ("desk", 0.5): "4afc9281c7462f987330334fd9e9458a6ec7d23824ad471df1dba3c882dc114f",
+    ("desk", 1.0): "9fe098b7aee13f8217c930d682cad1d1ed262d92c05ecea0a2b2dfd27f219cf6",
+    ("coco", 0.5): "37ecb808c12cdfac7f7e63d369d8bb63a67a7035f5a5a82a1033234e0cee11fa",
+    ("tiny", 1.0): "8f506483da300d398a4efa2935378974af277f36ea27130d34cfe9fb9482cf0d",
+}
+
+
+@pytest.mark.parametrize("profile, magnitude", sorted(SUITE_SHA256))
+def test_make_suite_matches_recorded_digests(profile, magnitude):
+    sim, base_seed, n_scenes = {"desk": (SIM, 3, 6), "coco": (COCO_SIM, 1, 2), "tiny": (TINY_SIM, 5, 4)}[profile]
+    suite = make_suite(base_seed, n_scenes, sim, ShiftSpec(magnitude=magnitude, noise_amp=2.5, seed=2))
+    assert _suite_digest(suite) == SUITE_SHA256[profile, magnitude]
