@@ -10,7 +10,7 @@ from typing import Any
 import numpy as np
 
 from . import cluster, geometry, grad, scoring
-from .data import PromptPool, ProposalSet
+from .data import PromptPool, ProposalSet, _check_fields
 from .geometry import Detections
 
 __all__ = [
@@ -113,26 +113,11 @@ class EpisodeConfig:
     reduction: int = 16       # adapter bottleneck ratio
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0: {self.gamma}")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must be in [0, 1]: {self.theta}")
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must be in (0, 1]: {self.rho}")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lam must be in [0, 1]: {self.lam}")
-        if self.top_m < 1:
-            raise ValueError(f"top_m must be >= 1: {self.top_m}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError(f"kappa must be finite and positive: {self.kappa}")
-        if not (math.isfinite(self.lr) and self.lr >= 0.0):
-            raise ValueError(f"lr must be finite and >= 0: {self.lr}")
-        if not (0.0 <= self.nms_iou <= 1.0):
-            raise ValueError(f"nms_iou must be in [0, 1]: {self.nms_iou}")
-        if not (0.0 <= self.score_thresh <= 1.0):
-            raise ValueError(f"score_thresh must be in [0, 1]: {self.score_thresh}")
-        if self.reduction < 1:
-            raise ValueError(f"reduction must be >= 1: {self.reduction}")
+        _check_fields(
+            vars(self), gamma="float >= 0", theta="float in [0, 1]", rho="float in (0, 1]",
+            lam="float in [0, 1]", top_m="int >= 1", kappa="float > 0", lr="float >= 0",
+            nms_iou="float in [0, 1]", score_thresh="float in [0, 1]", reduction="int >= 1",
+        )
 
 
 def fused_scores(

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 from . import checks
 from .adapt import EpisodeConfig, adapt_episode, run_baseline
-from .data import scene_to_json
+from .data import _check_fields, scene_to_json
 from .evaluation import APReport, evaluate
 from .sim import ShiftSpec, SimConfig, make_suite
 
@@ -57,10 +55,10 @@ class RunConfig:
     measure_time: bool = False  # wall-clock timing breaks byte-level reproducibility
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1: {self.seeds}")
-        if self.n_scenes < 1:
-            raise ConfigError(f"n_scenes must be >= 1: {self.n_scenes}")
+        _check_fields(
+            vars(self), error=ConfigError, seeds="int >= 1", n_scenes="int >= 1",
+            methods="str_tuple", measure_time="bool",
+        )
         if not self.methods:
             raise ConfigError("methods must not be empty")
         bad = [m for m in self.methods if m not in METHODS]
@@ -74,57 +72,27 @@ class RunConfig:
             )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON form each annotated field type must arrive in; a float field also takes
-# an integer (Python's json also reads NaN and Infinity, which no field takes),
-# and a list becomes the tuple its field holds
-_JSON_FORMS = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    tuple[int, int]: ("a list of two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
-    tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
-}
-
-
-def _check_json_types(cls, doc: dict, section: str) -> None:
-    """Reject a value whose JSON type does not match its field's annotation."""
-    for name, hint in get_type_hints(cls).items():
-        if name in doc and hint in _JSON_FORMS:
-            what, ok = _JSON_FORMS[hint]
-            if not ok(doc[name]):
-                raise ConfigError(f"{section}.{name} must be {what}: {doc[name]!r}")
-
-
 def _from_mapping(cls, doc: dict, section: str):
+    """Build `cls` from a JSON object; lists become the tuples the config holds."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"section {section!r} must be an object")
+        raise ConfigError(f"{section} must be a JSON object")
     allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown {section} keys: {unknown}")
-    _check_json_types(cls, doc, section)
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
 def episode_config_from_dict(doc: dict) -> EpisodeConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("section 'episode' must be an object")
-    doc = dict(doc)
-    if "lambda" in doc:
+    if isinstance(doc, dict) and "lambda" in doc:
         if "lam" in doc:
             raise ConfigError("give either 'lambda' or 'lam', not both")
-        # type-check under the name the config used, before the rename
-        what, ok = _JSON_FORMS[get_type_hints(EpisodeConfig)["lam"]]
-        if not ok(doc["lambda"]):
-            raise ConfigError(f"episode.lambda must be {what}: {doc['lambda']!r}")
-        doc["lam"] = doc.pop("lambda")
+        doc = {("lam" if k == "lambda" else k): v for k, v in doc.items()}
     return _from_mapping(EpisodeConfig, doc, "episode")
 
 
@@ -135,25 +103,14 @@ def episode_config_to_dict(cfg: EpisodeConfig) -> dict:
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = {"episode", "sim", "shift", "seeds", "n_scenes", "methods", "measure_time"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    for key in ("episode", "sim", "shift"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ConfigError(f"section {key!r} must be an object")
-    _check_json_types(RunConfig, doc, "config")
-    return RunConfig(
-        episode=episode_config_from_dict(doc.get("episode", {})),
-        sim=_from_mapping(SimConfig, doc.get("sim", {}), "sim"),
-        shift=_from_mapping(ShiftSpec, doc.get("shift", {}), "shift"),
-        seeds=doc.get("seeds", 20),
-        n_scenes=doc.get("n_scenes", 20),
-        methods=tuple(doc.get("methods", METHODS)),
-        measure_time=doc.get("measure_time", False),
-    )
+    if isinstance(doc, dict):
+        doc = {
+            **doc,
+            "episode": episode_config_from_dict(doc.get("episode", {})),
+            "sim": _from_mapping(SimConfig, doc.get("sim", {}), "sim"),
+            "shift": _from_mapping(ShiftSpec, doc.get("shift", {}), "shift"),
+        }
+    return _from_mapping(RunConfig, doc, "config")
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -369,11 +326,9 @@ def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) ->
         print("empty sweep grid", file=sys.stderr)
         return 2
     field_name = "lam" if param == "lambda" else param
+    # an integral top_m goes in as an int; any other value as given, for EpisodeConfig to judge
+    casts = [int(v) if param == "top_m" and float(v).is_integer() else float(v) for v in grid]
     try:
-        # EpisodeConfig checks top_m's range only, and int() would truncate or overflow
-        if param == "top_m" and not all(float(v).is_integer() for v in grid):
-            raise ValueError(f"top_m must be an integer: {grid}")
-        casts = [int(v) if param == "top_m" else float(v) for v in grid]
         episode_cfgs = [replace(cfg.episode, **{field_name: cast}) for cast in casts]
     except ValueError as exc:
         print(f"bad grid for {param}: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +21,52 @@ __all__ = [
 ]
 
 SCENE_JSON_KEYS = ("d", "K", "T", "boxes", "features", "class_embeddings", "prompt_pool", "gt")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what each field kind is called in an error, and its test
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int_pair": ("a tuple of two integers", lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))),
+    "str_tuple": ("a tuple of strings", lambda v: isinstance(v, tuple) and all(isinstance(s, str) for s in v)),
+}
+
+
+@functools.lru_cache
+def _rule(spec: str):
+    """(kind text, kind test, range text, range test) of a spec such as "float in (0, 1]"."""
+    kind, _, bound = spec.partition(" ")
+    op, _, limits = bound.partition(" ")
+    if op == "in":
+        lo, hi = (float(x) for x in limits[1:-1].split(","))
+        in_range = (lambda v: lo < v <= hi) if limits[0] == "(" else (lambda v: lo <= v <= hi)
+    elif op:
+        limit = float(limits)
+        in_range = (lambda v: v > limit) if op == ">" else (lambda v: v >= limit)
+    else:
+        in_range = lambda v: True
+    return (*_KINDS[kind], bound, in_range)
+
+
+def _check_fields(values: dict, /, error: type[ValueError] = ValueError, **specs: str) -> None:
+    """Check `values[name]` for each `name=spec`: first its kind, then its range.
+
+    A spec is a kind from `_KINDS`, optionally followed by `>= x`, `> x`,
+    `in [a, b]` or `in (a, b]`. `int` takes no bool; `float` takes a finite
+    float or an int, but no bool. A failure raises `error` naming the field.
+    """
+    for name, spec in specs.items():
+        value = values[name]
+        what, is_kind, bound, in_range = _rule(spec)
+        if not is_kind(value):
+            raise error(f"{name} must be {what}: {value!r}")
+        if not in_range(value):
+            raise error(f"{name} must be {bound}: {value!r}")
 
 
 def _first_zero_row(m: np.ndarray) -> list[int] | None:
@@ -134,9 +182,12 @@ def scene_from_json(doc: dict) -> tuple[ProposalSet, PromptPool, list[GroundTrut
         missing = sorted(set(SCENE_JSON_KEYS) - set(doc))
         unknown = sorted(set(doc) - set(SCENE_JSON_KEYS))
         raise ValueError(f"bad scene keys: missing {missing}, unknown {unknown}")
-    d, num_classes, pool_size = int(doc["d"]), int(doc["K"]), int(doc["T"])
-    boxes = np.asarray(doc["boxes"], dtype=float).reshape(-1, 4)
-    features = np.asarray(doc["features"], dtype=float).reshape(-1, d)
+    _check_fields(doc, d="int >= 2", K="int >= 2", T="int >= 1")
+    d, num_classes, pool_size = doc["d"], doc["K"], doc["T"]
+    boxes = np.asarray(doc["boxes"], dtype=float)
+    features = np.asarray(doc["features"], dtype=float)
+    if boxes.size == 0:  # a scene without proposals writes both as []
+        boxes, features = boxes.reshape(0, 4), features.reshape(0, d)
     class_embeddings = np.asarray(doc["class_embeddings"], dtype=float)
     pool = np.asarray(doc["prompt_pool"], dtype=float)
     if class_embeddings.shape != (num_classes, d):
@@ -147,7 +198,11 @@ def scene_from_json(doc: dict) -> tuple[ProposalSet, PromptPool, list[GroundTrut
     for row in doc["gt"]:
         if set(row) != {"box", "class_id"}:
             raise ValueError(f"bad gt entry keys: {sorted(row)}")
-        gts.append(GroundTruth(box=Box(*map(float, row["box"])), class_id=int(row["class_id"])))
+        _check_fields(row, class_id=f"int in [0, {num_classes - 1}]")
+        box = np.asarray(row["box"], dtype=float)
+        if box.shape != (4,):
+            raise ValueError(f"gt box must have 4 coordinates: {row['box']}")
+        gts.append(GroundTruth(box=Box(*box.tolist()), class_id=row["class_id"]))
     return (
         ProposalSet(boxes=boxes, features=features, class_embeddings=class_embeddings),
         PromptPool(embeddings=pool),

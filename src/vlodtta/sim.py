@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroundTruth, PromptPool, ProposalSet
+from .data import GroundTruth, PromptPool, ProposalSet, _check_fields
 from .geometry import Box, _pair_iou
 from .scoring import normalize_rows
 
@@ -60,10 +60,7 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.magnitude <= 1.0):
-            raise ValueError(f"magnitude must be in [0, 1]: {self.magnitude}")
-        if not (math.isfinite(self.noise_amp) and self.noise_amp >= 1.0):
-            raise ValueError(f"noise_amp must be finite and >= 1: {self.noise_amp}")
+        _check_fields(vars(self), magnitude="float in [0, 1]", noise_amp="float >= 1", seed="int >= 0")
 
     def direction(self, d: int) -> np.ndarray:
         """Unit vector the shift rotates prototypes toward."""
@@ -96,26 +93,19 @@ class SimConfig:
     aligned_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.num_classes < 2 or self.pool_size < 1:
-            raise ValueError("need d >= 2, num_classes >= 2, pool_size >= 1")
-        if self.extent[0] < 16 or self.extent[1] < 16:
-            raise ValueError(f"extent too small: {self.extent}")
-        if not (1 <= self.objects_min <= self.objects_max):
-            raise ValueError("bad objects range")
-        if not (1 <= self.proposals_min <= self.proposals_max):
-            raise ValueError("bad proposals range")
-        if not (0.0 <= self.distractor_prob <= 1.0):
-            raise ValueError(f"distractor_prob must be in [0, 1]: {self.distractor_prob}")
-        if not (1 <= self.distractor_min <= self.distractor_max):
-            raise ValueError("bad distractor size range")
-        if self.background < 0:
-            raise ValueError(f"background must be >= 0: {self.background}")
-        for name in ("jitter", "feature_noise", "quality_spread"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0: {value}")
-        if not (0.0 < self.aligned_fraction <= 1.0):
-            raise ValueError(f"aligned_fraction must be in (0, 1]: {self.aligned_fraction}")
+        _check_fields(
+            vars(self), d="int >= 2", num_classes="int >= 2", pool_size="int >= 1", extent="int_pair",
+            objects_min="int >= 1", objects_max="int >= 1", proposals_min="int >= 1",
+            proposals_max="int >= 1", distractor_prob="float in [0, 1]", distractor_min="int >= 1",
+            distractor_max="int >= 1", background="int >= 0", jitter="float >= 0",
+            feature_noise="float >= 0", quality_spread="float >= 0", aligned_fraction="float in (0, 1]",
+        )
+        if min(self.extent) < 16:
+            raise ValueError(f"extent must be at least 16 x 16: {self.extent}")
+        for what in ("objects", "proposals", "distractor"):
+            lo, hi = getattr(self, f"{what}_min"), getattr(self, f"{what}_max")
+            if lo > hi:
+                raise ValueError(f"{what}_min must be <= {what}_max: {lo} > {hi}")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -22,6 +23,7 @@ from vlodtta.cli import (
     METHODS,
     SWEEP_COLUMNS,
     ConfigError,
+    RunConfig,
     cmd_bench,
     cmd_check,
     cmd_episode,
@@ -30,6 +32,7 @@ from vlodtta.cli import (
     run_config_from_dict,
     run_config_to_dict,
 )
+from vlodtta.sim import ShiftSpec, SimConfig
 
 
 def _doc(**over) -> dict:
@@ -123,15 +126,17 @@ def test_rejected_configs(doc, fragment):
     [
         ({"shift": {"magnitude": 2.0}}, "magnitude must be in"),  # ValueError from ShiftSpec
         ({"seeds": "x"}, "seeds must be an integer"),
-        ({"sim": {"extent": 5}}, "extent must be a list of two integers"),
+        ({"sim": {"extent": 5}}, "extent must be a tuple of two integers"),
         ({"episode": {"top_m": 2.5}}, "top_m must be an integer"),
         ({"seeds": 2.7}, "seeds must be an integer"),
         ({"episode": {"reduction": True}}, "reduction must be an integer"),
         ({"measure_time": "false"}, "measure_time must be true or false"),
-        ({"methods": "zs"}, "methods must be a list of strings"),
+        ({"methods": "zs"}, "methods must be a tuple of strings"),
         ({"sim": {"jitter": math.nan}}, "jitter must be a finite number"),
         ({"shift": {"noise_amp": math.inf}}, "noise_amp must be a finite number"),
-        ({"episode": {"lambda": "x"}}, "episode.lambda must be a finite number"),
+        ({"episode": {"lambda": "x"}}, "lam must be a finite number"),
+        ({"shift": {"seed": -1}}, "seed must be >= 0"),
+        ({"shift": {"seed": 1.5}}, "seed must be an integer"),
     ],
 )
 def test_malformed_configs_end_in_a_config_error(tmp_path, capsys, over, fragment):
@@ -155,6 +160,47 @@ def test_malformed_configs_end_in_a_config_error(tmp_path, capsys, over, fragmen
 def test_run_config_cannot_be_built_invalid(over, fragment):
     with pytest.raises(ConfigError, match=fragment):
         replace(run_config_from_dict(_doc()), **over)
+
+
+# values of the wrong kind for each field annotation; a new annotation needs an entry
+_WRONG_KINDS = {
+    "int": (True, 2.5),
+    "float": (True, math.nan, math.inf, "0.5"),
+    "bool": (1, "false"),
+    "tuple[int, int]": ([640, 480], (640.0, 480)),
+    "tuple[str, ...]": (["zs"], "zs"),
+}
+_SECTION_TYPES = {"EpisodeConfig", "SimConfig", "ShiftSpec"}  # RunConfig's nested configs
+
+
+def _wrong_kind_cases():
+    for cls in (EpisodeConfig, SimConfig, ShiftSpec, RunConfig):
+        for f in fields(cls):
+            if f.type not in _SECTION_TYPES:
+                for value in _WRONG_KINDS[f.type]:
+                    yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", list(_wrong_kind_cases()))
+def test_configs_reject_wrong_kinds_at_construction(cls, name, value):
+    base = run_config_from_dict({}) if cls is RunConfig else cls()
+    given = {f.name: getattr(base, f.name) for f in fields(cls)}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**{**given, name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        replace(base, **{name: value})
+
+
+def test_readme_config_example_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    doc = json.loads(block)
+    back = run_config_to_dict(run_config_from_dict(doc))
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            assert {k: back[key][k] for k in value} == value, key
+        else:
+            assert back[key] == value, key
 
 
 def test_float_fields_accept_json_integers():

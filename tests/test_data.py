@@ -145,3 +145,41 @@ def test_from_json_rejects_malformed_gt():
     doc["gt"][0]["surprise"] = True
     with pytest.raises(ValueError):
         scene_from_json(doc)
+
+
+def test_from_json_round_trips_a_scene_without_proposals():
+    proposals, pool, gts = _sample_scene(n=0)
+    doc = json.loads(json.dumps(scene_to_json(proposals, pool, gts)))
+    assert doc["boxes"] == [] and doc["features"] == []
+    p2, _, _ = scene_from_json(doc)
+    assert p2.boxes.shape == (0, 4) and p2.features.shape == (0, 5)
+
+
+def _set(path, value):
+    """A scene-document edit: set the value at a key path such as ("gt", 0, "class_id")."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (_set(("d",), 5.9), "d must be an integer"),
+        (_set(("gt", 0, "class_id"), 1.7), "class_id must be an integer"),
+        (_set(("gt", 0, "class_id"), True), "class_id must be an integer"),
+        (_set(("gt", 0, "class_id"), 3), r"class_id must be in \[0, 2\]"),
+        (lambda doc: doc.update(boxes=sum(doc["boxes"], [])), "boxes must be"),
+        (_set(("gt", 0, "box"), [0, 0, 10, 10, 10]), "4 coordinates"),
+    ],
+    ids=["float d", "float class_id", "bool class_id", "class_id >= K", "flat boxes", "5-coordinate box"],
+)
+def test_from_json_rejects_values_it_used_to_coerce(edit, fragment):
+    proposals, pool, gts = _sample_scene()
+    doc = json.loads(json.dumps(scene_to_json(proposals, pool, gts)))
+    edit(doc)
+    with pytest.raises(ValueError, match=fragment):
+        scene_from_json(doc)

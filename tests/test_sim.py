@@ -160,10 +160,14 @@ def test_shift_spec_validation():
         ShiftSpec(magnitude=1.5)
     with pytest.raises(ValueError):
         ShiftSpec(noise_amp=0.5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ShiftSpec(seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        replace(ShiftSpec(), seed=-1)
     for value in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="noise_amp must be finite"):
+        with pytest.raises(ValueError, match="noise_amp must be a finite number"):
             ShiftSpec(noise_amp=value)
-        with pytest.raises(ValueError, match="noise_amp must be finite"):
+        with pytest.raises(ValueError, match="noise_amp must be a finite number"):
             replace(ShiftSpec(), noise_amp=value)
 
 
@@ -182,7 +186,7 @@ def test_sim_config_validation():
             replace(SIM, **kwargs)
     for name in ("jitter", "feature_noise", "quality_spread"):
         for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
                 SimConfig(**{name: value})
     SimConfig()
 
