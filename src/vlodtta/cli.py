@@ -55,6 +55,10 @@ class RunConfig:
     measure_time: bool = False  # wall-clock timing breaks byte-level reproducibility
 
     def __post_init__(self) -> None:
+        for name, cls in (("episode", EpisodeConfig), ("sim", SimConfig), ("shift", ShiftSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise ConfigError(f"{name} must be {cls.__name__}, not {type(value).__name__}")
         _check_fields(
             vars(self), error=ConfigError, seeds="int >= 1", n_scenes="int >= 1",
             methods="str_tuple", measure_time="bool",

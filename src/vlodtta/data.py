@@ -83,8 +83,7 @@ class GroundTruth:
     class_id: int
 
     def __post_init__(self) -> None:
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be non-negative: {self.class_id}")
+        _check_fields(vars(self), class_id="int >= 0")
 
 
 @dataclass(frozen=True)

@@ -159,15 +159,21 @@ class ObjectiveConstants:
 
 @dataclass(frozen=True)
 class Forward:
-    """One fused-score pass over every proposal, with the intermediates `backward` reads."""
+    """One fused-score pass over every proposal, with the intermediates `backward` reads.
 
-    features: np.ndarray       # (N, d) raw features
+    The adapted rows a = v + H W_up + b_up are never built: with `_up_factors`
+    they are v + L U for an (N, r) L and an (r, d) U, r <= h + 1, so each
+    score a x is v x + L (U x) and each |a|^2 comes from (N, r) products.
+    """
+
+    features: np.ndarray       # (N, d) raw features v
     pre: np.ndarray            # (N, h) pre-GELU activations
     hidden: np.ndarray         # (N, h)
-    w_up: np.ndarray           # (h, d)
-    adapted: np.ndarray        # (N, d) features after the adapter
-    unit_features: np.ndarray  # (N, d)
-    feature_norms: np.ndarray  # (N, 1)
+    phi: "AdapterParams"       # the adapter of the pass
+    feature_sq: np.ndarray     # (N,) |v|^2
+    feature_class: np.ndarray  # (N, K) v @ class_dirs.T
+    feature_up: np.ndarray     # (N, r) v @ U.T, U from `_up_factors`
+    feature_norms: np.ndarray  # (N, 1) |a|
     class_dirs: np.ndarray     # (K, d)
     selections: np.ndarray     # (K, n_sel) selected prompt indices
     unit_prompts: np.ndarray   # (K, n_sel, d) selected prompts plus delta, normalized, ascending per class
@@ -181,9 +187,40 @@ class Forward:
     lam: float
 
     @property
+    def adapted(self) -> np.ndarray:
+        """(N, d) features after the adapter; built on demand, for inspection only."""
+        return adapter(self.features, self.phi, (self.pre, self.hidden))[2]
+
+    @property
+    def unit_features(self) -> np.ndarray:
+        """(N, d) adapted features at unit length; built on demand, for inspection only."""
+        return self.adapted / self.feature_norms
+
+    @property
     def prompts(self) -> np.ndarray:
         """(N, K, T) cosines against every prompt; built on demand, for inspection only."""
         return scoring.prompt_scores(self.adapted, self.bank, self.delta)
+
+
+def _down(v: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.ndarray]:
+    """(pre-GELU activations, hidden) of the adapter's down-projection."""
+    pre = v @ phi.w_down + phi.b_down
+    return pre, gelu(pre)
+
+
+def _up_factors(hidden: np.ndarray, w_up: np.ndarray, b_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, U) with L @ U == hidden @ w_up + b_up, leaving out a zero w_up or b_up.
+
+    L holds hidden's columns (against w_up's rows) and then a column of ones
+    (against b_up), so L is (N, r) and U is (r, d) with r in {0, 1, h, h + 1}.
+    """
+    pairs = [(hidden, w_up)] if w_up.any() else []
+    if b_up.any():
+        pairs.append((np.ones((hidden.shape[0], 1)), b_up[None]))
+    if not pairs:
+        return np.zeros((hidden.shape[0], 0)), np.zeros((0, b_up.shape[0]))
+    low, up = zip(*pairs)
+    return np.hstack(low), np.vstack(up)
 
 
 def adapter(
@@ -195,16 +232,17 @@ def adapter(
     b_down, when the caller already has it.
     """
     v = np.asarray(features, dtype=float)
-    if down is None:
-        pre = v @ phi.w_down + phi.b_down
-        hidden = gelu(pre)
-    else:
-        pre, hidden = down
+    pre, hidden = _down(v, phi) if down is None else down
     if not phi.w_up.any():  # as in every fresh adapter: the up-projection adds exactly b_up
         return pre, hidden, v + phi.b_up
     up = hidden @ phi.w_up
     up += phi.b_up
     return pre, hidden, np.add(v, up, out=up)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, c) arrays, without an (N, c) temporary."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def forward(
@@ -214,23 +252,60 @@ def forward(
     """Adapter, cosine scores, prompt aggregation, and fusion for every proposal.
 
     When selections is None each class keeps its ceil(rho * T) prompts of
-    highest image compatibility, taken from the mean unit feature of this
-    pass; passing an array reuses a frozen choice. Each class's mean unit
-    selected prompt is scored once: neither the (N, K, T) tensor over the
-    whole bank nor an (N, K * n_sel) one is built here. `reuse` is an earlier
-    pass over the same proposals under the same W_down and b_down: its `pre`,
-    `hidden` and `class_dirs` are taken as they are.
+    highest image compatibility, taken from the mean unit adapted row of
+    this pass; passing an array reuses a frozen choice. Each class's mean
+    unit selected prompt is scored once: neither the (N, K, T) tensor over
+    the whole bank nor an (N, K * n_sel) one is built here, and no (N, d)
+    array either (see `Forward`). `reuse` is an earlier pass over the same
+    proposals under the same W_down and b_down: its `pre`, `hidden`,
+    `class_dirs`, `feature_sq` and `feature_class` are taken as they are.
     """
-    features = proposals.features
+    v = proposals.features
     bank = pool.embeddings
     delta = np.array(delta, dtype=float)
-    if bank.shape[2] != features.shape[1] or delta.shape != (bank.shape[2],):
-        raise ValueError(f"incompatible shapes {features.shape}, {bank.shape}, {delta.shape}")
-    pre, hidden, adapted = adapter(features, phi, None if reuse is None else (reuse.pre, reuse.hidden))
-    class_dirs = scoring.normalize_rows(proposals.class_embeddings) if reuse is None else reuse.class_dirs
-    unit_features, feature_norms = scoring.unit_rows(adapted)
+    if bank.shape[2] != v.shape[1] or delta.shape != (bank.shape[2],):
+        raise ValueError(f"incompatible shapes {v.shape}, {bank.shape}, {delta.shape}")
+    if reuse is None:
+        pre, hidden = _down(v, phi)
+        class_dirs = scoring.normalize_rows(proposals.class_embeddings)
+        feature_sq, feature_class = _rowdot(v, v), v @ class_dirs.T
+    else:
+        pre, hidden, class_dirs = reuse.pre, reuse.hidden, reuse.class_dirs
+        feature_sq, feature_class = reuse.feature_sq, reuse.feature_class
+
+    # |a|^2 = |v|^2 + 2 v.(L U) + |L U|^2, each from (N, r) products
+    low, up = _up_factors(hidden, phi.w_up, phi.b_up)
+    rank = up.shape[0]
+    if rank:
+        feature_up = v @ up.T
+        up_sq = _rowdot(low @ (up @ up.T), low)
+        sq = feature_sq + 2.0 * _rowdot(low, feature_up) + up_sq
+        scale = feature_sq + up_sq
+    else:
+        feature_up, sq, scale = np.zeros((v.shape[0], 0)), feature_sq, feature_sq
+    # the expansion is rounding error where the adapter nearly cancels a row: adapt those directly
+    near = np.flatnonzero(sq <= 1e-8 * scale)
+    if near.size:
+        direct = v[near] + low[near] @ up
+        sq = sq.copy()
+        sq[near] = _rowdot(direct, direct)
+    feature_norms = scoring.norms_from_squares(sq)
+    inv_norms = 1.0 / feature_norms
+
     if selections is None:
-        selections = scoring.select_prompts(scoring.prompt_compat(unit_features, bank, delta), rho)
+        # the mean unit adapted row: (w v + (w L) U) / N with w = 1 / |a|, near rows added directly
+        w = inv_norms[:, 0]
+        if near.size:
+            w = w.copy()
+            w[near] = 0.0
+        total = w @ v
+        if rank:
+            total += (w @ low) @ up
+        if near.size:
+            total += inv_norms[near, 0] @ direct
+        mean_unit = total / v.shape[0]
+        # prompt_compat averages the unit rows it is given: here the one mean row
+        selections = scoring.select_prompts(scoring.prompt_compat(mean_unit[None], bank, delta), rho)
     shifted = scoring.selected_prompts(bank, selections) + delta
     prompt_norms = np.linalg.norm(shifted, axis=-1, keepdims=True)
     if np.any(prompt_norms <= scoring.EPS):
@@ -239,14 +314,26 @@ def forward(
         raise scoring.NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {scoring.EPS}")
     unit_prompts = shifted / prompt_norms
     mean_dirs = unit_prompts.mean(axis=1)
-    pooled = unit_features @ mean_dirs.T
-    base = unit_features @ class_dirs.T
+
+    def cosines(v_dirs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """a dirs.T scaled by 1 / |a|, from v dirs.T."""
+        if rank:
+            out = v_dirs + low @ (up @ dirs.T)
+            out *= inv_norms
+        else:
+            out = v_dirs * inv_norms
+        if near.size:
+            out[near] = (direct @ dirs.T) * inv_norms[near]
+        return out
+
+    base = cosines(feature_class, class_dirs)
+    pooled = cosines(v @ mean_dirs.T, mean_dirs)
     return Forward(
-        features=features, pre=pre, hidden=hidden, w_up=phi.w_up, adapted=adapted,
-        unit_features=unit_features, feature_norms=feature_norms, class_dirs=class_dirs,
-        selections=selections, unit_prompts=unit_prompts, prompt_norms=prompt_norms,
-        mean_dirs=mean_dirs, base=base, pooled=pooled, fused=scoring.fuse(pooled, base, lam),
-        bank=bank, delta=delta, lam=lam,
+        features=v, pre=pre, hidden=hidden, phi=phi, feature_sq=feature_sq,
+        feature_class=feature_class, feature_up=feature_up, feature_norms=feature_norms,
+        class_dirs=class_dirs, selections=selections, unit_prompts=unit_prompts,
+        prompt_norms=prompt_norms, mean_dirs=mean_dirs, base=base, pooled=pooled,
+        fused=scoring.fuse(pooled, base, lam), bank=bank, delta=delta, lam=lam,
     )
 
 
@@ -272,6 +359,8 @@ def objective(fwd: Forward, constants: ObjectiveConstants) -> tuple[float, _Save
     kept = np.asarray(constants.kept, dtype=int)
     if kept.size == 0:
         raise ValueError("no kept proposals; the objective is undefined")
+    if np.unique(kept).size != kept.size:  # `backward` scatters per-row terms by these indices
+        raise ValueError("kept proposal indices must be distinct")
     weights = np.asarray(constants.weights, dtype=float)
     if weights.shape != kept.shape:
         raise ValueError(f"{weights.shape[0]} weights for {kept.shape[0]} kept proposals")
@@ -297,29 +386,57 @@ def forward_objective(
 
 
 def backward(saved: _Saved) -> Gradients:
-    """Gradients of the loss from `objective` by the hand-derived chain rule."""
+    """Gradients of the loss from `objective` by the hand-derived chain rule.
+
+    Through the unit row a / |a| the gradient of an adapted row a is
+    (g_unit - (g_unit . a/|a|) a/|a|) / |a| with g_unit = g_fused dirs, and
+    g_unit . a/|a| is g_fused . fused. So g_a = alpha dirs - beta a with
+    alpha = g_fused / |a| and beta = (g_fused . fused) / |a|^2, and with
+    a = v + L U (`_up_factors`) every gradient comes from (M, h + 1)
+    products and one product of v with a row matrix that is zero outside
+    the kept rows; no (M, d) array is built.
+    """
     f, kept = saved.fwd, saved.kept
     n_sel = f.selections.shape[1]
+    num_classes, hid = f.class_dirs.shape[0], f.hidden.shape[1]
+    w_up, b_up = f.phi.w_up, f.phi.b_up
     g_fused = saved.coeff[:, None] * _entropy_score_grad(saved.posterior, saved.entropies, saved.kappa)
 
-    unit_features = f.unit_features[kept]
-    g_unit = g_fused @ (f.lam * f.mean_dirs + (1.0 - f.lam) * f.class_dirs)
-    # each selected prompt of a class gets 1 / n_sel of its mean direction's gradient; sums over
-    # kept rows run as (d, M) x (M, .), which a threaded BLAS splits with fewer thread syncs
-    g_mean_dirs = (f.lam / n_sel) * np.ascontiguousarray((unit_features.T @ g_fused).T)
-    g_prompts = _unit_rows_pullback(g_mean_dirs[:, None, :], f.unit_prompts, f.prompt_norms)
-    g_adapted = _unit_rows_pullback(g_unit, unit_features, f.feature_norms[kept])
+    dirs = f.lam * f.mean_dirs + (1.0 - f.lam) * f.class_dirs
+    inv_norms = 1.0 / f.feature_norms[kept]
+    alpha = g_fused * inv_norms
+    beta = _rowdot(g_fused, f.fused[kept])[:, None] * inv_norms * inv_norms
+    hidden = f.hidden[kept]
+    low, up = _up_factors(hidden, w_up, b_up)
+    # [H, 1]: the columns against [W_up; b_up], which get gradient even where they are zero
+    full_low = np.hstack([hidden, np.ones((hidden.shape[0], 1))])
+    cols = [alpha, beta * full_low]
+    down_moves = w_up.any()  # a zero up-projection passes no gradient to the down-projection
+    if down_moves:
+        # g_a W_up.T = alpha (dirs W_up.T) - beta (v W_up.T + L (U W_up.T))
+        a_w_up = f.feature_up[kept, :hid] + low @ (up @ w_up.T)
+        g_pre = (alpha @ (dirs @ w_up.T) - beta * a_w_up) * gelu_grad(f.pre[kept])
+        cols.append(g_pre)
+    rows = np.zeros((f.features.shape[0], sum(c.shape[1] for c in cols)))
+    rows[kept] = np.hstack(cols)
+    # sums over kept rows run as (d, N) x (N, .), which a threaded BLAS splits with fewer thread syncs
+    v_rows = f.features.T @ rows
+    v_alpha, v_beta_low = v_rows[:, :num_classes], v_rows[:, num_classes:num_classes + hid + 1]
 
-    if f.w_up.any():
-        g_pre = (g_adapted @ f.w_up.T) * gelu_grad(f.pre[kept])
-        g_w_down, g_b_down = f.features[kept].T @ g_pre, g_pre.sum(axis=0)
-    else:  # a zero up-projection passes no gradient to the down-projection
-        g_w_down, g_b_down = np.zeros(f.w_up.T.shape), np.zeros(f.w_up.shape[0])
+    # each selected prompt of a class gets 1 / n_sel of its mean direction's gradient
+    g_mean_dirs = (f.lam / n_sel) * (v_alpha.T + (alpha.T @ low) @ up)
+    g_prompts = _unit_rows_pullback(g_mean_dirs[:, None, :], f.unit_prompts, f.prompt_norms)
+    g_up = full_low.T @ alpha @ dirs - v_beta_low.T - (full_low.T @ (beta * low)) @ up
+
+    if down_moves:
+        g_w_down, g_b_down = np.ascontiguousarray(v_rows[:, num_classes + hid + 1:]), g_pre.sum(axis=0)
+    else:
+        g_w_down, g_b_down = np.zeros(w_up.T.shape), np.zeros(hid)
     return Gradients(
         w_down=g_w_down,
         b_down=g_b_down,
-        w_up=np.ascontiguousarray((g_adapted.T @ f.hidden[kept]).T),
-        b_up=g_adapted.sum(axis=0),
+        w_up=g_up[:hid],
+        b_up=g_up[hid],
         delta=g_prompts.sum(axis=(0, 1)),
     )
 

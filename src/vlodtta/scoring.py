@@ -10,7 +10,7 @@ __all__ = [
     "EPS",
     "NearZeroRow",
     "normalize_rows",
-    "unit_rows",
+    "norms_from_squares",
     "detector_scores",
     "posterior",
     "entropy",
@@ -30,8 +30,16 @@ class NearZeroRow(ValueError):
     """A row has L2 norm too close to zero to normalize."""
 
 
-def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(each vector along the last axis scaled to unit L2 norm, the norms with a trailing axis of 1)."""
+def norms_from_squares(sq: np.ndarray) -> np.ndarray:
+    """(N, 1) row norms from the (N,) squared norms; NearZeroRow names the first row at <= EPS."""
+    small = sq <= EPS * EPS
+    if np.any(small):
+        raise NearZeroRow(f"row {int(np.argmax(small))} has norm <= {EPS}; cannot normalize")
+    return np.sqrt(sq)[:, None]
+
+
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Scale each vector along the last axis to unit L2 norm."""
     m = np.asarray(m, dtype=float)
     out = m * m  # np.linalg.norm's own sum of squares, in a buffer the unit rows then reuse
     norms = np.sqrt(out.sum(axis=-1, keepdims=True))
@@ -39,21 +47,22 @@ def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         where = np.argwhere(np.atleast_1d(norms[..., 0] <= EPS))[0].tolist()
         row = where[0] if len(where) == 1 else tuple(where)
         raise NearZeroRow(f"row {row} has norm <= {EPS}; cannot normalize")
-    return np.divide(m, norms, out=out), norms
-
-
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Scale each vector along the last axis to unit L2 norm."""
-    return unit_rows(m)[0]
+    return np.divide(m, norms, out=out)
 
 
 def detector_scores(features: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every region feature against every class embedding."""
+    """Cosine similarity of every region feature against every class embedding.
+
+    As the episode computes it: the features times the unit class rows,
+    scaled by each feature's reciprocal norm, so no unit feature row is built.
+    """
     v = np.asarray(features, dtype=float)
     t = np.asarray(class_embeddings, dtype=float)
     if v.ndim != 2 or t.ndim != 2 or v.shape[1] != t.shape[1]:
         raise ValueError(f"incompatible shapes {v.shape} x {t.shape}")
-    return normalize_rows(v) @ normalize_rows(t).T
+    scores = v @ normalize_rows(t).T
+    scores *= 1.0 / norms_from_squares(np.einsum("ij,ij->i", v, v))
+    return scores
 
 
 def posterior(scores: np.ndarray, kappa: float) -> np.ndarray:

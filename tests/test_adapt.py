@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -436,13 +437,18 @@ def test_lazy_prompt_tensor_matches_dense_scores():
 def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
     # a stepped episode runs the fused-score forward twice (pre and post
     # pass; the objective reads the pre pass), a zero-step episode
-    # (prompt_average has lr = 0) once; each pass multiplies the unit
-    # features by K mean prompt directions and by K class directions, so
-    # it does 2 * N * K products whatever the number of selected prompts
+    # (prompt_average has lr = 0) once. Every product taken with the (N, d)
+    # features is recorded by its output size. From a fresh adapter the pre
+    # pass takes the down-projection (N * h), the mean unit row for the
+    # selection (d), and the class and mean prompt directions (N * K each);
+    # the post pass keeps the first and the class products and adds the
+    # up-projection [W_up; b_up] (N * (h + 1)); the backward takes one
+    # product with a row matrix of K + h + 1 columns. None of this depends
+    # on rho, and nothing of size N * K * n_sel or N * K * T appears.
     sizes = []
 
     class CountedRows(np.ndarray):
-        """Unit rows that record the output size of each matrix product they enter."""
+        """Features that record the output size of each matrix product they enter."""
 
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
@@ -450,33 +456,63 @@ def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
                 sizes.append(out.size)
             return out
 
-    real_unit_rows = vlodtta.scoring.unit_rows
+    calls = []
 
-    def counted_unit_rows(m):
-        unit, norms = real_unit_rows(m)
-        return unit.view(CountedRows), norms
+    def counted(name, real):
+        def call(*a, **k):
+            start = len(sizes)
+            out = real(*a, **k)
+            calls.append((name, sorted(sizes[start:])))
+            return out
+        return call
 
-    passes = []
-    real = vlodtta.grad.forward
-
-    def counting(*a, **k):
-        start = len(sizes)
-        out = real(*a, **k)
-        passes.append(sum(sizes[start:]))
-        return out
-
-    monkeypatch.setattr(vlodtta.scoring, "unit_rows", counted_unit_rows)
-    monkeypatch.setattr(vlodtta.grad, "forward", counting)
+    monkeypatch.setattr(vlodtta.grad, "forward", counted("forward", vlodtta.grad.forward))
+    monkeypatch.setattr(vlodtta.grad, "backward", counted("backward", vlodtta.grad.backward))
     world, proposals, _ = _scene(seed=12, sim=sim)
-    n, k = proposals.n, world.pool.num_classes
-    adapt_episode(proposals, world.pool, CFG)
-    assert passes == [2 * n * k] * 2
-    passes.clear()
-    run_baseline("entropy_adapter", proposals, world.pool, CFG)
-    assert passes == [2 * n * k] * 2
-    passes.clear()
-    run_baseline("prompt_average", proposals, world.pool, CFG)
-    assert passes == [2 * n * k]
+    proposals = replace(proposals, features=proposals.features.view(CountedRows))
+    n, d, k = proposals.n, proposals.d, world.pool.num_classes
+    h, pool_size = d // CFG.reduction, world.pool.pool_size
+    pre = ("forward", sorted([n * h, d, n * k, n * k]))
+    stepped = [pre, ("backward", [d * (k + h + 1)]), ("forward", sorted([n * (h + 1), n * k]))]
+    for rho in (CFG.rho, 0.5, 1.0):
+        cfg = replace(CFG, rho=rho)
+        adapt_episode(proposals, world.pool, cfg)
+        assert calls == stepped, rho
+        calls.clear()
+        run_baseline("entropy_adapter", proposals, world.pool, cfg)
+        assert calls == stepped, rho
+        calls.clear()
+        run_baseline("prompt_average", proposals, world.pool, cfg)
+        assert calls == [pre], rho
+        calls.clear()
+    dense = {n * k * math.ceil(rho * pool_size) for rho in (CFG.rho, 0.5)} | {n * k * pool_size}
+    assert not dense & set(sizes)
+
+
+def test_a_stepped_episode_allocates_less_than_one_feature_array():
+    # neither scoring pass nor the backward builds an (N, d) array: on a wide
+    # profile (d = 2048, h = 16) the episode's allocation peak, which its
+    # O(N^2) same-class box pairs then set, stays below the features' size
+    sim = SimConfig(d=2048, background=400)
+    cfg = EpisodeConfig(reduction=128)
+    world = gen_world(0, sim, ShiftSpec(magnitude=0.5))
+    for seed in range(3):
+        proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
+        adapt_episode(proposals, world.pool, cfg)  # draws the cached fresh state
+        details = {}
+        tracemalloc.start()
+        try:
+            _, trace = adapt_episode(proposals, world.pool, cfg, details=details)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.grad_norms["w_up"] > 0.0
+        assert peak < proposals.features.nbytes, (seed, peak, proposals.features.nbytes)
+        for name in ("pre", "post"):
+            record = details[name]
+            shapes = {f.name: np.shape(getattr(record, f.name)) for f in fields(record)}
+            wide = [name for name, shape in shapes.items() if shape == proposals.features.shape]
+            assert wide == ["features"], (name, wide)
 
 
 @pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
@@ -670,9 +706,11 @@ def test_prompt_average_uses_all_prompts():
     z = vlodtta.scoring.prompt_scores(
         proposals.features, world.pool.embeddings, np.zeros(proposals.d)
     )
-    # the mean over every prompt, as a cosine against each class's mean unit prompt
+    # the mean over every prompt, as a cosine against each class's mean unit prompt: the
+    # features times the mean directions, scaled by each feature's reciprocal norm
     mean_dirs = normalize_rows(world.pool.embeddings).mean(axis=1)
-    pooled = normalize_rows(proposals.features) @ mean_dirs.T
+    v = proposals.features
+    pooled = (v @ mean_dirs.T) * (1.0 / np.sqrt(np.einsum("ij,ij->i", v, v))[:, None])
     assert np.max(np.abs(pooled - z.mean(axis=-1))) <= 1e-12
     base = vlodtta.scoring.detector_scores(proposals.features, proposals.class_embeddings)
     fused = vlodtta.scoring.fuse(pooled, base, CFG.lam)

@@ -155,11 +155,19 @@ def test_malformed_configs_end_in_a_config_error(tmp_path, capsys, over, fragmen
         ({"methods": ()}, "empty"),
         ({"methods": ("zs", "zs")}, "duplicate"),
         ({"episode": EpisodeConfig(reduction=5)}, "divisible"),
+        ({"episode": {}}, "^episode must be EpisodeConfig, not dict"),
+        ({"sim": {"d": 32}}, "^sim must be SimConfig, not dict"),
+        ({"shift": None}, "^shift must be ShiftSpec, not NoneType"),
+        ({"sim": ShiftSpec()}, "^sim must be SimConfig, not ShiftSpec"),
     ],
 )
 def test_run_config_cannot_be_built_invalid(over, fragment):
     with pytest.raises(ConfigError, match=fragment):
         replace(run_config_from_dict(_doc()), **over)
+    sections = {"episode": EpisodeConfig(), "sim": SimConfig(), "shift": ShiftSpec()}
+    if set(over) <= set(sections):
+        with pytest.raises(ConfigError, match=fragment):
+            RunConfig(**{**sections, **over})
 
 
 # values of the wrong kind for each field annotation; a new annotation needs an entry
@@ -276,7 +284,7 @@ def test_bench_reproduces_recorded_metrics(tmp_path, capsys):
 # as every last bit of a matrix product does; a deliberate re-base updates
 # them and says so in CHANGES.md.
 BENCH_CSV_SHA256 = "ae428b3aa48388a7213ef3df26a227a0b6ea01dabf78d4e6d4cdfd390acfe8db"
-EPISODE_DUMP_SHA256 = "e21269fcba5777e814e4673ff28f4efae90017c382b74d13f462b3a89c0146d4"
+EPISODE_DUMP_SHA256 = "a8ef1d263fce25f7172789fc5e6cc01329e865f0a548dea46ebd052f7b5d67fe"
 
 
 def test_bench_csv_and_episode_dump_match_parent_digests(tmp_path, capsys):

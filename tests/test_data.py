@@ -99,8 +99,14 @@ def test_prompt_pool_rejects_zero_prompt_row():
 
 
 def test_ground_truth_rejects_negative_class():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^class_id must be >= 0"):
         GroundTruth(Box(0, 0, 1, 1), -2)
+
+
+@pytest.mark.parametrize("class_id", [1.7, True, "1"])
+def test_ground_truth_rejects_a_class_that_is_not_an_int(class_id):
+    with pytest.raises(ValueError, match="^class_id must be an integer"):
+        GroundTruth(Box(0, 0, 1, 1), class_id)
 
 
 def test_round_trip_preserves_everything():

@@ -4,23 +4,36 @@ oracle, finite-difference checks, exact reductions, and a mutation probe."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vlodtta.grad
-from vlodtta.adapt import AdapterParams, AdaptState
+from vlodtta.adapt import AdapterParams, AdaptState, apply_adapter
 from vlodtta.checks import random_objective_instance
 from vlodtta.data import PromptPool, ProposalSet
 from vlodtta.grad import (
     ObjectiveConstants,
     backward,
     fd_check,
+    forward,
     forward_objective,
     gelu,
     gelu_grad,
 )
-from vlodtta.scoring import detector_scores, entropy, posterior
+from vlodtta.scoring import (
+    NearZeroRow,
+    detector_scores,
+    entropy,
+    fuse,
+    normalize_rows,
+    posterior,
+    prompt_compat,
+    select_prompts,
+    selected_prompts,
+)
+from vlodtta.sim import SEED_SCALE, ShiftSpec, SimConfig, gen_scene_proposals, gen_world
 
 # frozen from the loop-based oracle below; forward_objective reproduces it bit-for-bit
 GOLDEN_LOSS = 0.07258398173920992
@@ -400,3 +413,85 @@ def test_objective_rejects_empty_kept_and_bad_weights():
     )
     with pytest.raises(ValueError):
         forward_objective(proposals, pool, state, zero_w)
+    repeated = ObjectiveConstants(
+        weights=np.ones(constants.kept.size + 1), selections=constants.selections,
+        kept=np.append(constants.kept, constants.kept[0]), lam=0.3, kappa=20.0,
+    )
+    with pytest.raises(ValueError, match="distinct"):
+        forward_objective(proposals, pool, state, repeated)
+
+
+# -- the adapter as a rank-(h + 1) update ------------------------------------ #
+
+COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
+
+
+def _moved_state(d, reduction, seed):
+    """A non-identity state: every adapter tensor and the residual nonzero."""
+    rng = np.random.default_rng(seed)
+    zero = AdaptState.zero_init(d, reduction)
+    phi = AdapterParams(
+        w_down=zero.phi.w_down, b_down=0.1 * rng.standard_normal(zero.phi.b_down.shape),
+        w_up=0.1 * rng.standard_normal(zero.phi.w_up.shape), b_up=0.1 * rng.standard_normal(d),
+    )
+    return AdaptState(phi=phi, delta=0.1 * rng.standard_normal(d))
+
+
+@pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
+def test_forward_matches_the_normalized_adapted_rows(sim):
+    # the forward expands a = v + H W_up + b_up instead of building it; its
+    # scores must be the cosines of the adapted rows themselves, in a fresh
+    # pass and in one that reuses a pass under the same down-projection
+    world = gen_world(0, sim, ShiftSpec(magnitude=0.5))
+    bank = world.pool.embeddings
+    for seed in range(3):
+        proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
+        state = _moved_state(proposals.d, 16, seed)
+        unit = normalize_rows(apply_adapter(proposals.features, state.phi))
+        sel = select_prompts(prompt_compat(unit, bank, state.delta), 0.25)
+        mean_dirs = normalize_rows(selected_prompts(bank, sel) + state.delta).mean(axis=1)
+        base = unit @ normalize_rows(proposals.class_embeddings).T
+        pooled = unit @ mean_dirs.T
+        fresh = forward(proposals, world.pool, state.phi, state.delta, lam=0.3, rho=0.25)
+        np.testing.assert_array_equal(fresh.selections, sel)
+        still = replace(state.phi, w_up=np.zeros_like(state.phi.w_up), b_up=np.zeros(proposals.d))
+        first = forward(proposals, world.pool, still, np.zeros(proposals.d), lam=0.3, rho=0.25)
+        reused = forward(proposals, world.pool, state.phi, state.delta, lam=0.3, selections=sel, reuse=first)
+        for fwd in (fresh, reused):
+            for got, want in ((fwd.base, base), (fwd.pooled, pooled), (fwd.fused, fuse(pooled, base, 0.3))):
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _cancelling_state(proposals, row, shrink):
+    """A zero W_up and b_up = -(1 - shrink) * features[row]: that row adapts to shrink times itself."""
+    zero = AdaptState.zero_init(proposals.d, 2)
+    phi = replace(zero.phi, b_up=-(1.0 - shrink) * proposals.features[row])
+    return AdaptState(phi=phi, delta=zero.delta)
+
+
+def test_an_adapted_row_that_cancels_is_named():
+    proposals, pool, _ = _zero_init_instance(n=12, d=8)
+    for row in (0, 5, 11):
+        state = _cancelling_state(proposals, row, 0.0)
+        with pytest.raises(NearZeroRow, match=f"^row {row} "):
+            forward(proposals, pool, state.phi, state.delta, lam=0.3, rho=0.5)
+        # the same through a nonzero W_up, whose up-projection b_up then cancels
+        w_up = 0.1 * np.random.default_rng(row).standard_normal(state.phi.w_up.shape)
+        _, hidden, _ = vlodtta.grad.adapter(proposals.features, replace(state.phi, w_up=w_up))
+        phi = replace(state.phi, w_up=w_up, b_up=-(proposals.features[row] + hidden[row] @ w_up))
+        with pytest.raises(NearZeroRow, match=f"^row {row} "):
+            forward(proposals, pool, phi, state.delta, lam=0.3, rho=0.5)
+
+
+def test_a_nearly_cancelled_row_is_scored_directly():
+    # |a|^2 = 1e-12 |v|^2 is far below the expansion's rounding error in
+    # |v|^2 + 2 v.b_up + |b_up|^2; that row must still get its true cosines
+    proposals, pool, _ = _zero_init_instance(n=12, d=8)
+    state = _cancelling_state(proposals, 4, 1e-6)
+    fwd = forward(proposals, pool, state.phi, state.delta, lam=0.3, rho=0.5)
+    unit = normalize_rows(apply_adapter(proposals.features, state.phi))
+    base = unit @ normalize_rows(proposals.class_embeddings).T
+    np.testing.assert_allclose(fwd.base, base, rtol=0, atol=1e-12)
+    want_norm = 1e-6 * np.linalg.norm(proposals.features[4])
+    np.testing.assert_allclose(fwd.feature_norms[4, 0], want_norm, rtol=1e-9)
+
