@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -22,7 +22,9 @@ __all__ = [
     "adapter_param_count",
     "fused_scores",
     "adapt_episode",
+    "baseline_config",
     "run_baseline",
+    "SceneWork",
     "BASELINES",
 ]
 
@@ -167,13 +169,15 @@ class EpisodeTrace:
         }
 
 
-def _predict(fused: np.ndarray, boxes: np.ndarray, cfg: EpisodeConfig) -> Detections:
-    """Max-class posterior confidence, score threshold, then class-wise NMS."""
+def _predict(
+    fused: np.ndarray, boxes: np.ndarray, cfg: EpisodeConfig, overlaps: geometry.OverlapList
+) -> Detections:
+    """Max-class posterior confidence, score threshold, then class-wise NMS along the image's overlap list."""
     probs = scoring.posterior(fused, cfg.kappa)
     conf = probs.max(axis=-1)
     labels = probs.argmax(axis=-1)
     idx = np.flatnonzero(conf >= cfg.score_thresh)
-    kept = idx[geometry.nms(boxes[idx], conf[idx], labels[idx], cfg.nms_iou)]
+    kept = idx[geometry.nms(boxes[idx], conf[idx], labels[idx], cfg.nms_iou, overlaps=overlaps.take(idx))]
     return Detections(boxes[kept], conf[kept], labels[kept])
 
 
@@ -189,7 +193,7 @@ def _fresh_state(d: int, reduction: int) -> AdaptState:
     """`AdaptState.zero_init(d, reduction)`, drawn once and read-only, so no
     episode can change what the next one starts from."""
     state = AdaptState.zero_init(d, reduction)
-    for a in (state.phi.w_down, state.phi.b_down, state.phi.w_up, state.phi.b_up, state.delta):
+    for a in _tensors(state):
         a.flags.writeable = False
     return state
 
@@ -232,6 +236,8 @@ def adapt_episode(
     cfg: EpisodeConfig,
     state: AdaptState | None = None,
     details: dict[str, Any] | None = None,
+    *,
+    shared: SceneWork | None = None,
 ) -> tuple[Detections, EpisodeTrace]:
     """Adapt on one image with a single gradient step, then predict.
 
@@ -247,6 +253,12 @@ def adapt_episode(
     a zero-size step (lr = 0) predicts from the pre pass and computes no
     objective. Passing a dict as `details` fills it with the full
     intermediate arrays (only pre, post and components when lr = 0).
+
+    Clustering and NMS read one overlap list of the image's boxes
+    (`geometry.OverlapList`), listed from the pre pass's argmax classes at
+    min(theta, nms_iou). Episodes from the fresh state on one image can
+    share their pre passes and that list through `shared`, a `SceneWork`
+    of the image, with bit-identical results.
     """
     if proposals.n == 0:
         trace = _empty_trace()
@@ -254,17 +266,22 @@ def adapt_episode(
     if state is None:
         state = _fresh_state(proposals.d, cfg.reduction)
 
-    pre = fused_scores(proposals, pool, state.phi, state.delta, cfg)
+    if shared is None:
+        pre = fused_scores(proposals, pool, state.phi, state.delta, cfg)
+        labels = cluster.predicted_classes(pre.fused)
+        overlaps = geometry.overlap_list(proposals.boxes, labels, min(cfg.theta, cfg.nms_iou))
+    else:
+        pre, overlaps = shared.inputs(proposals, pool, state, cfg)
     if cfg.lr == 0.0:
         # phi and delta stay as they were: the post pass would recompute pre
-        detections = _predict(pre.fused, proposals.boxes, cfg)
+        detections = _predict(pre.fused, proposals.boxes, cfg, overlaps)
         if details is not None:
             details.update(pre=pre, post=pre, components=[])
         return detections, _trace(pre, pre, detections, loss=0.0, grad_norms={}, cluster_sizes={})
 
     kept = geometry.top_m_filter(pre.fused, cfg.top_m)
     classes = cluster.predicted_classes(pre.fused[kept])
-    assignment = cluster.build_class_graphs(proposals.boxes[kept], classes, cfg.theta)
+    assignment = cluster.build_class_graphs(proposals.boxes[kept], classes, cfg.theta, overlaps=overlaps.take(kept))
     weights = cluster.cluster_weights(assignment, cfg.gamma)
     constants = grad.ObjectiveConstants(
         weights=weights, selections=pre.selections, kept=kept, lam=cfg.lam, kappa=cfg.kappa
@@ -276,7 +293,7 @@ def adapt_episode(
     # step leaves them bit-identical and the post pass takes the pre pass's down-projection
     reuse = pre if not state.phi.w_up.any() else None
     post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=reuse)
-    detections = _predict(post.fused, proposals.boxes, cfg)
+    detections = _predict(post.fused, proposals.boxes, cfg, overlaps)
 
     _, first = np.unique(assignment.component_id, return_index=True)
     sizes, counts = np.unique(assignment.component_size[first], return_counts=True)
@@ -290,22 +307,89 @@ def adapt_episode(
     return detections, trace
 
 
-def run_baseline(
-    kind: str, proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig
-) -> Detections:
-    """One of the reference pipelines, expressed as a restricted episode.
+def baseline_config(kind: str, cfg: EpisodeConfig) -> EpisodeConfig:
+    """The restricted episode config that a reference pipeline runs.
 
     zero_shot:       no update and no prompt fusion.
     entropy_adapter: unweighted mean entropy, no prompt fusion, step kept.
     prompt_average:  all prompts averaged, fusion kept, no update.
     """
     if kind == "zero_shot":
-        restricted = replace(cfg, lr=0.0, lam=0.0)
-    elif kind == "entropy_adapter":
-        restricted = replace(cfg, gamma=0.0, lam=0.0)
-    elif kind == "prompt_average":
-        restricted = replace(cfg, rho=1.0, lr=0.0, gamma=0.0)
-    else:
-        raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
-    detections, _ = adapt_episode(proposals, pool, restricted)
+        return replace(cfg, lr=0.0, lam=0.0)
+    if kind == "entropy_adapter":
+        return replace(cfg, gamma=0.0, lam=0.0)
+    if kind == "prompt_average":
+        return replace(cfg, rho=1.0, lr=0.0, gamma=0.0)
+    raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
+
+
+def run_baseline(
+    kind: str, proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig, *,
+    shared: SceneWork | None = None,
+) -> Detections:
+    """One of the reference pipelines, expressed as a restricted episode (`baseline_config`)."""
+    detections, _ = adapt_episode(proposals, pool, baseline_config(kind, cfg), shared=shared)
     return detections
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
+def _tensors(state: AdaptState) -> tuple[np.ndarray, ...]:
+    phi = state.phi
+    return phi.w_down, phi.b_down, phi.w_up, phi.b_up, state.delta
+
+
+class SceneWork:
+    """What the episodes from the fresh state on one image share: pre passes and one overlap list.
+
+    Those episodes start from the same parameters, so their pre passes
+    differ only where their configs do. Each part is computed by the first
+    episode that needs it, inside that episode, and read by the later
+    ones: a pass at a rho and reduction already scored is re-fused at the
+    new lam from its pooled and base scores; a new rho reuses the
+    down-projection and class scores; the overlap list is listed once,
+    from the first pass's argmax classes, at the lowest theta or nms_iou
+    of `cfgs`, the configs of the episodes to come. Every episode gets
+    bit-identical results to one run without it.
+    """
+
+    def __init__(self, proposals: ProposalSet, pool: PromptPool, cfgs: list[EpisodeConfig]) -> None:
+        self.proposals, self.pool = proposals, pool
+        self.t0 = min(min(cfg.theta, cfg.nms_iou) for cfg in cfgs)
+        self._passes: dict[tuple[int, float, float], grad.Forward] = {}  # (reduction, rho, lam) -> pass
+        self._overlaps: geometry.OverlapList | None = None
+
+    def inputs(
+        self, proposals: ProposalSet, pool: PromptPool, state: AdaptState, cfg: EpisodeConfig
+    ) -> tuple[grad.Forward, geometry.OverlapList]:
+        """The pre pass and the overlap list of an episode on this image from `state`.
+
+        Raises ValueError for another image or prompt bank, or a state other than the fresh one.
+        """
+        mine = self.proposals
+        if not (
+            _same(proposals.boxes, mine.boxes) and _same(proposals.features, mine.features)
+            and _same(proposals.class_embeddings, mine.class_embeddings)
+            and _same(pool.embeddings, self.pool.embeddings)
+        ):
+            raise ValueError("the shared work is of another image or prompt pool")
+        fresh = _fresh_state(proposals.d, cfg.reduction)
+        if not all(map(_same, _tensors(state), _tensors(fresh))):
+            raise ValueError("the shared work serves episodes from the fresh state only")
+        key = (cfg.reduction, cfg.rho, cfg.lam)
+        if key not in self._passes:
+            self._passes[key] = self._pre_pass(fresh, cfg)
+        pre = self._passes[key]
+        if self._overlaps is None:
+            self._overlaps = geometry.overlap_list(mine.boxes, cluster.predicted_classes(pre.fused), self.t0)
+        return pre, self._overlaps
+
+    def _pre_pass(self, fresh: AdaptState, cfg: EpisodeConfig) -> grad.Forward:
+        alike = [(rho, p) for (reduction, rho, _), p in self._passes.items() if reduction == cfg.reduction]
+        for rho, like in alike:
+            if rho == cfg.rho:
+                return replace(like, lam=cfg.lam, fused=scoring.fuse(like.pooled, like.base, cfg.lam))
+        reuse = alike[0][1] if alike else None
+        return fused_scores(self.proposals, self.pool, fresh.phi, fresh.delta, cfg, reuse=reuse)

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import checks
-from .adapt import EpisodeConfig, adapt_episode, run_baseline
+from .adapt import EpisodeConfig, SceneWork, adapt_episode, baseline_config, run_baseline
 from .data import _check_fields, scene_to_json
 from .evaluation import APReport, evaluate
 from .sim import ShiftSpec, SimConfig, make_suite
@@ -143,25 +143,38 @@ def load_config(path: str) -> RunConfig:
 
 # -- bench --------------------------------------------------------------- #
 
-def _run_method(method: str, proposals, pool, ecfg: EpisodeConfig):
+def _run_method(method: str, proposals, pool, ecfg: EpisodeConfig, shared: SceneWork):
     if method == "vlodtta":
-        return adapt_episode(proposals, pool, ecfg)[0]
-    return run_baseline(_BASELINE_OF[method], proposals, pool, ecfg)
+        return adapt_episode(proposals, pool, ecfg, shared=shared)[0]
+    return run_baseline(_BASELINE_OF[method], proposals, pool, ecfg, shared=shared)
 
 
-def _method_report(method: str, suite, cfg: RunConfig) -> tuple[APReport, float]:
-    """Evaluate one method over a suite; returns the report and mean ms per episode."""
-    dets_all, gts_all = [], []
-    elapsed = 0.0
-    for proposals, gts in suite.scenes:
-        start = time.perf_counter() if cfg.measure_time else 0.0
-        dets = _run_method(method, proposals, suite.world.pool, cfg.episode)
-        if cfg.measure_time:
-            elapsed += time.perf_counter() - start
-        dets_all.append(dets)
-        gts_all.append(list(gts))
-    mean_ms = 1000.0 * elapsed / len(suite.scenes) if cfg.measure_time else 0.0
-    return evaluate(dets_all, gts_all), mean_ms
+def _suite_reports(
+    runs: list[tuple[str, EpisodeConfig]], suite, measure_time: bool
+) -> list[tuple[APReport, float]]:
+    """Run each (method, config) over a suite; one report and mean ms per episode each.
+
+    Scene by scene, every run reads one `SceneWork` of the scene, so the
+    pre passes and the overlap list are computed once per scene, each in
+    the first episode that needs it. Each run's detections are evaluated
+    once, after the last scene.
+    """
+    pool = suite.world.pool
+    cfgs = [ecfg if method == "vlodtta" else baseline_config(_BASELINE_OF[method], ecfg) for method, ecfg in runs]
+    dets_all = [[] for _ in runs]
+    elapsed = [0.0] * len(runs)
+    for proposals, _ in suite.scenes:
+        shared = SceneWork(proposals, pool, cfgs)
+        for i, (method, ecfg) in enumerate(runs):
+            start = time.perf_counter() if measure_time else 0.0
+            dets_all[i].append(_run_method(method, proposals, pool, ecfg, shared))
+            if measure_time:
+                elapsed[i] += time.perf_counter() - start
+    gts_all = [list(gts) for _, gts in suite.scenes]
+    return [
+        (evaluate(dets, gts_all), 1000.0 * ms / len(suite.scenes) if measure_time else 0.0)
+        for dets, ms in zip(dets_all, elapsed)
+    ]
 
 
 def _header_block(cfg: RunConfig) -> str:
@@ -174,8 +187,8 @@ def cmd_bench(config_path: str, out_path: str) -> int:
     rows = []
     for base_seed in range(cfg.seeds):
         suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-        for method in cfg.methods:
-            report, mean_ms = _method_report(method, suite, cfg)
+        reports = _suite_reports([(method, cfg.episode) for method in cfg.methods], suite, cfg.measure_time)
+        for method, (report, mean_ms) in zip(cfg.methods, reports):
             rows.append((method, base_seed, report, mean_ms))
     rows.sort(key=lambda r: (cfg.methods.index(r[0]), r[1]))
     lines = [_header_block(cfg), ",".join(CSV_COLUMNS) + "\n"]
@@ -337,12 +350,12 @@ def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) ->
     except ValueError as exc:
         print(f"bad grid for {param}: {exc}", file=sys.stderr)
         return 2
-    swept = [replace(cfg, episode=episode_cfg, methods=("vlodtta",)) for episode_cfg in episode_cfgs]
-    reports = [[] for _ in swept]  # reports[value index][base seed]
+    runs = [("vlodtta", episode_cfg) for episode_cfg in episode_cfgs]
+    reports = [[] for _ in runs]  # reports[value index][base seed]
     for base_seed in range(cfg.seeds):
         suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-        for per_value, value_cfg in zip(reports, swept):
-            per_value.append(_method_report("vlodtta", suite, value_cfg)[0])
+        for per_value, (report, _) in zip(reports, _suite_reports(runs, suite, measure_time=False)):
+            per_value.append(report)
     lines = [_header_block(cfg), ",".join(SWEEP_COLUMNS) + "\n"]
     for cast, per_value in zip(casts, reports):
         for base_seed, report in enumerate(per_value):

@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, overlap_pairs
+from . import geometry
+from .geometry import Box
 from .geometry import iou_matrix  # unused: perfbench's tracer looks up cluster.iou_matrix by name
 
 __all__ = [
@@ -40,20 +41,27 @@ def predicted_classes(scores: np.ndarray) -> np.ndarray:
 
 
 def build_class_graphs(
-    boxes: Sequence[Box] | np.ndarray, classes: np.ndarray, theta: float
+    boxes: Sequence[Box] | np.ndarray, classes: np.ndarray, theta: float,
+    overlaps: geometry.OverlapList | None = None,
 ) -> ClusterAssignment:
     """Connected components of the per-class graphs with edges where IoU >= theta.
 
     Proposals of different predicted classes are never connected: the edge
-    list is geometry.overlap_pairs, which tests same-class pairs only.
-    Labels come from min-label propagation over the edge list with pointer
-    jumping, so each component id is its smallest member index and does
-    not depend on the order of the edges.
+    list is a query of the image's overlap list (`geometry.OverlapList`),
+    read at these boxes, which pairs same-class boxes only; with no
+    `overlaps`, one is listed from the arguments. Labels come from
+    min-label propagation over the edge list with pointer jumping, so each
+    component id is its smallest member index and does not depend on the
+    order of the edges.
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1]: {theta}")
     classes = np.asarray(classes, dtype=int)
-    ii, jj = overlap_pairs(boxes, classes, theta)
+    if overlaps is None:
+        overlaps = geometry.overlap_list(boxes, classes, theta)
+    elif len(overlaps) != classes.shape[0]:
+        raise ValueError(f"an overlap list read at {len(overlaps)} rows for {classes.shape[0]} classes")
+    ii, jj, _ = overlaps.pairs(classes, theta)
     n = classes.shape[0]
     component_id = np.arange(n)
     while True:

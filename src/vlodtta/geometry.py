@@ -1,5 +1,5 @@
-"""Axis-aligned box arithmetic: IoU, same-class overlap pairs, greedy NMS, top-M
-filtering, and the struct-of-arrays detection record."""
+"""Axis-aligned box arithmetic: IoU, same-class overlap pairs and the list that
+shares them, greedy NMS, top-M filtering, and the struct-of-arrays detection record."""
 
 from __future__ import annotations
 
@@ -8,7 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Box", "Detection", "Detections", "iou", "iou_matrix", "overlap_pairs", "nms", "top_m_filter"]
+__all__ = [
+    "Box", "Detection", "Detections", "OverlapList", "iou", "iou_matrix", "overlap_list", "overlap_pairs", "nms",
+    "top_m_filter",
+]
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,101 @@ def iou_matrix(boxes) -> np.ndarray:
     return _pair_iou(boxes[:, None, :], boxes[None, :, :])
 
 
+@dataclass(frozen=True, eq=False)
+class OverlapList:
+    """One image's same-class overlaps, listed once and queried by every consumer.
+
+    `overlap_list(boxes, labels, t0)` lists the pairs i < j whose reference
+    labels match and whose IoU is at least t0, with those IoUs. `rows`
+    are the boxes a query reads, in order (all of them at first); `take`
+    narrows them. `pairs` answers for those rows what `overlap_pairs`
+    answers for the boxes themselves, under the query's own labels, at
+    any threshold from t0 up.
+    """
+
+    columns: np.ndarray  # (4, N) x1, y1, x2, y2 columns of the image's N boxes
+    areas: np.ndarray    # (N,)
+    labels: np.ndarray   # (N,) reference label per box
+    t0: float
+    first: np.ndarray    # (P,) i of each listed pair
+    second: np.ndarray   # (P,) j of each listed pair, i < j
+    ious: np.ndarray     # (P,)
+    rows: np.ndarray     # (m,) distinct box indices a query reads
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def take(self, idx) -> "OverlapList":
+        """The same list, read at rows[idx]."""
+        # built directly: dataclasses.replace costs more than the queries it serves
+        return OverlapList(
+            self.columns, self.areas, self.labels, self.t0, self.first, self.second, self.ious, self.rows[idx]
+        )
+
+    def pairs(self, labels, thresh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ii, jj, ious): the pairs overlap_pairs(boxes[rows], labels, thresh) gives, and their IoUs.
+
+        The pair set is the same, not its order; ii < jj are positions in
+        `rows`. A row whose label is its reference label reads its pairs
+        from the list. A relabelled row is paired directly with every row
+        of its new label, through the same IoU operations, so every pair
+        gets the same bits either way.
+        """
+        if not thresh >= self.t0:
+            raise ValueError(f"query threshold {thresh} is below the list's t0 = {self.t0}")
+        labels = np.asarray(labels)
+        rows, m = self.rows, self.rows.size
+        if labels.shape != (m,):
+            raise ValueError(f"{m} rows vs {labels.shape} labels")
+        # slot[box]: the box's position among the rows while its label is unchanged, else -1
+        slot = np.full(self.labels.size, -1)
+        slot[rows] = np.arange(m)
+        if not np.array_equal(slot[rows], np.arange(m)):
+            raise ValueError("query rows must be distinct")
+        moved = labels != self.labels[rows]
+        slot[rows[moved]] = -1
+        a, b = slot[self.first], slot[self.second]
+        hit = (a >= 0) & (b >= 0) & (self.ious >= thresh)
+        a, b, ious = a[hit], b[hit], self.ious[hit]
+        changed = np.flatnonzero(moved)
+        if changed.size:
+            # each relabelled row against every other row of its new label; two relabelled rows once
+            k, q = np.nonzero(labels[changed, None] == labels[None, :])
+            p = changed[k]
+            fresh = (q != p) & ~(moved[q] & (q < p))
+            p, q = p[fresh], q[fresh]
+            rp, rq = rows[p], rows[q]
+            v = _column_iou(self.columns[:, rp], self.areas[rp], self.columns[:, rq], self.areas[rq])
+            hit = v >= thresh
+            a, b, ious = np.concatenate([a, p[hit]]), np.concatenate([b, q[hit]]), np.concatenate([ious, v[hit]])
+        return np.minimum(a, b), np.maximum(a, b), ious
+
+
+def overlap_list(boxes, labels, t0: float) -> OverlapList:
+    """The pairs i < j of boxes with the same label and IoU >= t0, read at every box.
+
+    Every same-label pair is listed and tested (see overlap_pairs), and
+    its IoU kept.
+    """
+    boxes = _box_array(boxes)
+    labels = np.asarray(labels)
+    n = boxes.shape[0]
+    if labels.shape != (n,):
+        raise ValueError(f"{n} boxes vs {labels.shape} classes")
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    # a stable sort keeps indices ascending within a label, so each sorted
+    # position pairs with the later positions up to the end of its label
+    later = np.searchsorted(ranked, ranked, side="right") - np.arange(n) - 1
+    first = np.repeat(np.arange(n), later)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    ii, jj = order[first], order[first + 1 + offset]
+    cols, area = _columns(boxes)  # gather 1-D columns and areas, not (P, 4) rows
+    ious = _column_iou([c[ii] for c in cols], area[ii], [c[jj] for c in cols], area[jj])
+    keep = ious >= t0
+    return OverlapList(cols, area, labels, t0, ii[keep], jj[keep], ious[keep], np.arange(n))
+
+
 def overlap_pairs(boxes, classes, thresh: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j of the same class whose IoU is at least thresh.
 
@@ -145,34 +243,23 @@ def overlap_pairs(boxes, classes, thresh: float) -> tuple[np.ndarray, np.ndarray
     thresh 0 links each class completely. Only same-class pairs get an
     IoU; pairs come back grouped by class, in row-major order within one.
     """
-    boxes = _box_array(boxes)
-    classes = np.asarray(classes)
-    n = boxes.shape[0]
-    if classes.shape != (n,):
-        raise ValueError(f"{n} boxes vs {classes.shape} classes")
-    order = np.argsort(classes, kind="stable")
-    ranked = classes[order]
-    # a stable sort keeps indices ascending within a class, so each sorted
-    # position pairs with the later positions up to the end of its class
-    later = np.searchsorted(ranked, ranked, side="right") - np.arange(n) - 1
-    first = np.repeat(np.arange(n), later)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    ii, jj = order[first], order[first + 1 + offset]
-    cols, area = _columns(boxes)  # gather 1-D columns and areas, not (P, 4) rows
-    keep = _column_iou([c[ii] for c in cols], area[ii], [c[jj] for c in cols], area[jj]) >= thresh
-    return ii[keep], jj[keep]
+    listed = overlap_list(boxes, classes, thresh)
+    return listed.first, listed.second
 
 
-def nms(boxes, scores: np.ndarray, classes: np.ndarray, iou_thresh: float) -> np.ndarray:
+def nms(
+    boxes, scores: np.ndarray, classes: np.ndarray, iou_thresh: float, overlaps: OverlapList | None = None
+) -> np.ndarray:
     """Greedy non-maximum suppression; kept indices in descending score order.
 
     Box i is dropped iff an already-kept box of the same class overlaps it
     with IoU >= iou_thresh. Score ties are broken by lower input index.
-    Class-agnostic suppression is one class for every box. The boxes are
-    put in rank order first, so in each overlap_pairs pair (i < j) box i
-    outranks box j and only i can suppress j. The pairs become a neighbour
-    list of lower-ranked boxes (CSR: rank r's are dst[ptr[r]:ptr[r + 1]]),
-    so no N x N matrix is built.
+    Class-agnostic suppression is one class for every box. `overlaps` is
+    an image's overlap list read at these boxes (`OverlapList.take`); with
+    none, one is listed from the arguments. The list is read in rank
+    order, so in each pair (i < j) box i outranks box j and only i can
+    suppress j. The pairs become a neighbour list of lower-ranked boxes
+    (CSR: rank r's are dst[ptr[r]:ptr[r + 1]]), so no N x N matrix is built.
     """
     if not (0.0 <= iou_thresh <= 1.0):
         raise ValueError(f"iou_thresh must be in [0, 1]: {iou_thresh}")
@@ -181,8 +268,12 @@ def nms(boxes, scores: np.ndarray, classes: np.ndarray, iou_thresh: float) -> np
     classes = np.asarray(classes)
     if not (scores.shape == classes.shape == boxes.shape[:1]):
         raise ValueError(f"{boxes.shape[0]} boxes vs {scores.shape} scores vs {classes.shape} classes")
+    if overlaps is None:
+        overlaps = overlap_list(boxes, classes, iou_thresh)
+    elif len(overlaps) != scores.size:
+        raise ValueError(f"an overlap list read at {len(overlaps)} rows for {scores.size} boxes")
     order = np.lexsort((np.arange(scores.size), -scores))
-    ii, jj = overlap_pairs(boxes[order], classes[order], iou_thresh)
+    ii, jj, _ = overlaps.take(order).pairs(classes[order], iou_thresh)
     by_src = np.argsort(ii, kind="stable")
     dst = jj[by_src]
     ptr = np.searchsorted(ii[by_src], np.arange(scores.size + 1)).tolist()

@@ -306,13 +306,15 @@ def forward(
         mean_unit = total / v.shape[0]
         # prompt_compat averages the unit rows it is given: here the one mean row
         selections = scoring.select_prompts(scoring.prompt_compat(mean_unit[None], bank, delta), rho)
-    shifted = scoring.selected_prompts(bank, selections) + delta
-    prompt_norms = np.linalg.norm(shifted, axis=-1, keepdims=True)
+    # the gather is a fresh array: shift and normalize it in place, it becomes the unit prompts
+    unit_prompts = scoring.selected_prompts(bank, selections)
+    unit_prompts += delta
+    prompt_norms = np.linalg.norm(unit_prompts, axis=-1, keepdims=True)
     if np.any(prompt_norms <= scoring.EPS):
         k, s = np.argwhere(prompt_norms[..., 0] <= scoring.EPS)[0]
         t = np.sort(selections[k])[s]  # the gather runs in ascending prompt order
         raise scoring.NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {scoring.EPS}")
-    unit_prompts = shifted / prompt_norms
+    unit_prompts /= prompt_norms
     mean_dirs = unit_prompts.mean(axis=1)
 
     def cosines(v_dirs: np.ndarray, dirs: np.ndarray) -> np.ndarray:

@@ -22,9 +22,11 @@ from vlodtta.adapt import (
     AdapterParams,
     AdaptState,
     EpisodeConfig,
+    SceneWork,
     adapt_episode,
     adapter_param_count,
     apply_adapter,
+    baseline_config,
     fused_scores,
     run_baseline,
 )
@@ -730,3 +732,96 @@ def test_unknown_baseline_rejected():
     world, proposals, _ = _scene()
     with pytest.raises(ValueError):
         run_baseline("oracle", proposals, world.pool, CFG)
+
+
+# -- work shared by the episodes on one image ------------------------------------ #
+
+# the configs of `vlodtta bench`'s four methods
+METHOD_CFGS = {
+    "zs": baseline_config("zero_shot", CFG),
+    "entropy": baseline_config("entropy_adapter", CFG),
+    "pa": baseline_config("prompt_average", CFG),
+    "vlodtta": CFG,
+}
+
+
+def _episode_bits(proposals, pool, cfg, **kwargs):
+    """Everything an episode returns and scores, as comparable bits."""
+    details = {}
+    dets, trace = adapt_episode(proposals, pool, cfg, details=details, **kwargs)
+    arrays = [dets.boxes, dets.scores, dets.classes, details["pre"].fused, details["post"].fused]
+    return [_bits(a).tolist() if a.dtype.kind == "f" else a.tolist() for a in arrays], trace.to_dict()
+
+
+@pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
+def test_shared_scene_work_matches_each_episode_alone(sim):
+    world = gen_world(5, sim, ShiftSpec(magnitude=0.5))
+    cfgs = list(METHOD_CFGS.values())
+    for scene in range(2):
+        proposals, _ = gen_scene_proposals(scene * SEED_SCALE + 5, world)
+        alone = {name: _episode_bits(proposals, world.pool, cfg) for name, cfg in METHOD_CFGS.items()}
+        # whichever episode comes first computes a part; the others read it
+        for order in (list(METHOD_CFGS), list(METHOD_CFGS)[::-1], ["pa", "zs"]):
+            shared = SceneWork(proposals, world.pool, cfgs)
+            for name in order:
+                assert _episode_bits(proposals, world.pool, METHOD_CFGS[name], shared=shared) == alone[name]
+        shared = SceneWork(proposals, world.pool, cfgs)
+        for kind, name in (("zero_shot", "zs"), ("entropy_adapter", "entropy"), ("prompt_average", "pa")):
+            dets = run_baseline(kind, proposals, world.pool, CFG, shared=shared)
+            got = [_bits(dets.boxes).tolist(), _bits(dets.scores).tolist(), dets.classes.tolist()]
+            assert got == alone[name][0][:3]
+
+
+def test_shared_scene_work_rejects_other_images_states_and_thresholds():
+    world, proposals, _ = _scene(seed=12)
+    other, _ = gen_scene_proposals(12 * SEED_SCALE + 1, world)
+    shared = SceneWork(proposals, world.pool, [CFG])
+    with pytest.raises(ValueError, match="another image"):
+        adapt_episode(other, world.pool, CFG, shared=shared)
+    stepped = AdaptState.zero_init(proposals.d, CFG.reduction)
+    stepped = AdaptState(stepped.phi, stepped.delta + 0.01)
+    with pytest.raises(ValueError, match="fresh state"):
+        adapt_episode(proposals, world.pool, CFG, state=stepped, shared=shared)
+    # the list is at t0 = min(theta, nms_iou) = 0.5: a lower theta cannot read it
+    with pytest.raises(ValueError, match="t0"):
+        adapt_episode(proposals, world.pool, replace(CFG, theta=0.3), shared=shared)
+    # a state equal to the fresh one is the fresh state
+    equal = AdaptState.zero_init(proposals.d, CFG.reduction)
+    assert _episode_bits(proposals, world.pool, CFG, state=equal, shared=shared) == _episode_bits(
+        proposals, world.pool, CFG
+    )
+
+
+def test_one_listing_per_image_and_none_inside_nms_or_clustering(monkeypatch):
+    calls = {"overlap_list": 0, "forward": 0}
+    real_list, real_forward = vlodtta.geometry.overlap_list, vlodtta.grad.forward
+
+    def counting_list(*a, **k):
+        calls["overlap_list"] += 1
+        return real_list(*a, **k)
+
+    def counting_forward(*a, **k):
+        calls["forward"] += 1
+        return real_forward(*a, **k)
+
+    monkeypatch.setattr(vlodtta.geometry, "overlap_list", counting_list)
+    monkeypatch.setattr(vlodtta.grad, "forward", counting_forward)
+    world, proposals, _ = _scene(seed=13)
+    for cfg in METHOD_CFGS.values():
+        calls.update(overlap_list=0, forward=0)
+        adapt_episode(proposals, world.pool, cfg)
+        assert calls == {"overlap_list": 1, "forward": 1 if cfg.lr == 0.0 else 2}
+    # four methods on one image: one listing, and four forwards where they ran six alone
+    calls.update(overlap_list=0, forward=0)
+    shared = SceneWork(proposals, world.pool, list(METHOD_CFGS.values()))
+    for cfg in METHOD_CFGS.values():
+        adapt_episode(proposals, world.pool, cfg, shared=shared)
+    assert calls == {"overlap_list": 1, "forward": 4}
+    listed = real_list(proposals.boxes, np.zeros(proposals.n, int), 0.5)
+    calls.update(overlap_list=0)
+    vlodtta.geometry.nms(proposals.boxes, np.ones(proposals.n), np.zeros(proposals.n, int), 0.5, overlaps=listed)
+    vlodtta.cluster.build_class_graphs(proposals.boxes, np.zeros(proposals.n, int), 0.6, overlaps=listed)
+    assert calls["overlap_list"] == 0
+    vlodtta.geometry.nms(proposals.boxes, np.ones(proposals.n), np.zeros(proposals.n, int), 0.5)
+    vlodtta.cluster.build_class_graphs(proposals.boxes, np.zeros(proposals.n, int), 0.6)
+    assert calls["overlap_list"] == 2

@@ -296,6 +296,48 @@ def test_bench_csv_and_episode_dump_match_parent_digests(tmp_path, capsys):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
+def test_bench_rows_do_not_depend_on_the_other_methods(tmp_path, capsys):
+    # each scene's pre passes and overlap list are computed by whichever
+    # method needs them first; every (method, seed) row must come out the same
+    def rows_of(methods):
+        out = tmp_path / f"{'-'.join(methods)}.csv"
+        assert cmd_bench(_write(tmp_path, _doc(methods=methods)), str(out)) == 0
+        return {(r[0], r[1]): r for r in _rows(out)[1:]}
+
+    full = rows_of(list(METHODS))
+    for methods in (list(METHODS)[::-1], ["vlodtta"], ["pa", "zs"]):
+        got = rows_of(methods)
+        assert set(got) == {(m, str(seed)) for m in methods for seed in range(2)}
+        for key, row in got.items():
+            assert row == full[key], key
+    capsys.readouterr()
+
+
+def test_bench_and_sweep_list_each_scene_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = vlodtta.geometry.overlap_list
+    monkeypatch.setattr(vlodtta.geometry, "overlap_list", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    config = _write(tmp_path, _doc())  # 2 seeds x 2 scenes
+    assert cmd_bench(config, str(tmp_path / "bench.csv")) == 0
+    assert calls == [0.5] * 4  # min(theta, nms_iou) of the four methods
+    calls.clear()
+    assert cmd_sweep(config, "theta", [0.9, 0.3, 0.6], str(tmp_path / "sweep.csv")) == 0
+    assert calls == [0.3] * 4  # the lowest theta of the grid
+    capsys.readouterr()
+
+
+def test_sweep_rows_match_bench_runs_of_each_value(tmp_path, capsys):
+    # the grid values share each scene's pre pass and one list at the lowest theta
+    config = _write(tmp_path, _doc(methods=["vlodtta"]))
+    assert cmd_sweep(config, "theta", [0.0, 0.6, 0.9], str(tmp_path / "sweep.csv")) == 0
+    for row in _rows(tmp_path / "sweep.csv")[1:]:
+        value_config = _write(tmp_path, _doc(methods=["vlodtta"], episode={"theta": float(row[1])}), "value.json")
+        assert cmd_bench(value_config, str(tmp_path / "value.csv")) == 0
+        bench_row = _rows(tmp_path / "value.csv")[1 + int(row[2])]
+        assert row[4:7] == bench_row[4:7], row
+    capsys.readouterr()
+
+
 def test_bench_timing_column(tmp_path, capsys):
     config = _write(tmp_path, _doc(methods=["vlodtta"], seeds=1, measure_time=True))
     out = tmp_path / "timed.csv"

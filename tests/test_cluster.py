@@ -13,7 +13,7 @@ from vlodtta.cluster import (
     iwe_loss,
     predicted_classes,
 )
-from vlodtta.geometry import Box, iou
+from vlodtta.geometry import Box, iou, overlap_list
 
 
 def _random_instance(rng, n):
@@ -105,6 +105,10 @@ def test_components_match_dfs_reference():
                 want_size[i] = len(members)
         np.testing.assert_array_equal(got.component_id, want_id, err_msg=f"trial {trial}")
         np.testing.assert_array_equal(got.component_size, want_size, err_msg=f"trial {trial}")
+        # along an overlap list of other labels (a tenth of the rows) at a lower t0
+        other = np.where(rng.uniform(size=n) < 0.1, (classes + 1) % 4, classes)
+        shared = build_class_graphs(boxes, classes, theta, overlaps=overlap_list(boxes, other, theta / 2))
+        np.testing.assert_array_equal(shared.component_id, want_id, err_msg=f"shared trial {trial}")
 
 
 def test_raising_theta_refines_partition():

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlodtta.checks import nms_detections, reference_nms
-from vlodtta.geometry import Box, Detection, Detections, iou, iou_matrix, nms, overlap_pairs, top_m_filter
+from vlodtta.geometry import (
+    Box,
+    Detection,
+    Detections,
+    iou,
+    iou_matrix,
+    nms,
+    overlap_list,
+    overlap_pairs,
+    top_m_filter,
+)
 
 
 def _cell_count_iou(a: Box, b: Box) -> float:
@@ -205,6 +215,80 @@ def test_overlap_pairs_matches_scalar_iou_bit_for_bit():
 def test_overlap_pairs_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         overlap_pairs(np.zeros((2, 4)), np.zeros(3, int), 0.5)
+
+
+@st.composite
+def _overlap_queries(draw):
+    """Boxes on a coarse grid (duplicates, shared edges and disjoint pairs are
+    common), reference labels, a t0, and a query: distinct rows in any order,
+    labels with none, a few or all rows relabelled, and a threshold >= t0."""
+    n = draw(st.integers(0, 24))
+    cells = st.integers(0, 12)
+    corners = [(draw(cells), draw(cells), draw(st.integers(1, 6)), draw(st.integers(1, 6))) for _ in range(n)]
+    quarter = draw(st.booleans())  # off the integer grid: IoUs that round
+    boxes = np.array([[x, y, x + w, y + h] for x, y, w, h in corners], dtype=float).reshape(-1, 4)
+    if quarter:
+        boxes = boxes / 4.0 + 0.1
+    ref = np.array([draw(st.integers(0, 2)) for _ in range(n)], dtype=int)
+    t0 = draw(st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 1.0))
+    order = draw(st.permutations(range(n)))
+    rows = np.array(order[: draw(st.integers(0, n))], dtype=int)
+    labels = ref[rows].copy()
+    mode = draw(st.sampled_from(["none", "few", "all"]))
+    if mode == "all":
+        labels = np.array([draw(st.integers(0, 2)) for _ in rows], dtype=int)
+    elif mode == "few" and rows.size:
+        for pos in draw(st.lists(st.integers(0, rows.size - 1), max_size=3)):
+            labels[pos] = draw(st.integers(0, 3))
+    thresh = draw(st.sampled_from([t0, 1.0]) | st.floats(t0, 1.0))
+    return boxes, ref, t0, rows, labels, thresh
+
+
+@given(_overlap_queries())
+@settings(max_examples=300, deadline=None)
+def test_overlap_list_query_matches_a_fresh_listing(case):
+    boxes, ref, t0, rows, labels, thresh = case
+    ii, jj, ious = overlap_list(boxes, ref, t0).take(rows).pairs(labels, thresh)
+    assert np.all(ii < jj)
+    got = set(zip(ii.tolist(), jj.tolist()))
+    assert len(got) == ii.size  # no pair twice
+    want_i, want_j = overlap_pairs(boxes[rows], labels, thresh)
+    assert got == set(zip(want_i.tolist(), want_j.tolist()))
+    objs = [Box(*row) for row in boxes[rows].tolist()]
+    for i, j, value in zip(ii.tolist(), jj.tolist(), ious.tolist()):
+        assert value == iou(objs[i], objs[j])  # the same bits as the scalar IoU
+
+
+def test_overlap_list_query_rejects_bad_queries():
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [1.0, 0.0, 3.0, 2.0], [0.0, 0.0, 2.0, 2.0]])
+    listed = overlap_list(boxes, np.zeros(3, int), 0.3)
+    with pytest.raises(ValueError, match="t0"):
+        listed.pairs(np.zeros(3, int), 0.2)
+    with pytest.raises(ValueError, match="labels"):
+        listed.pairs(np.zeros(2, int), 0.5)
+    with pytest.raises(ValueError, match="distinct"):
+        listed.take(np.array([0, 2, 0])).pairs(np.zeros(3, int), 0.5)
+    with pytest.raises(ValueError):
+        overlap_list(boxes, np.zeros(2, int), 0.3)
+    with pytest.raises(ValueError, match="rows"):
+        nms(boxes, np.ones(3), np.zeros(3, int), 0.5, overlaps=listed.take(np.arange(2)))
+
+
+def test_nms_along_a_shared_list_matches_nms_alone():
+    # a list from other labels, at a lower t0, read at a subset of the boxes
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        n = int(rng.integers(1, 80))
+        boxes = _rows(_boxes(n, rng))
+        ref = rng.integers(0, 4, n)
+        listed = overlap_list(boxes, ref, float(rng.choice([0.0, 0.3])))
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        classes = np.where(rng.uniform(size=n) < 0.1, rng.integers(0, 4, n), ref)[idx]
+        scores = rng.integers(0, 5, idx.size) / 4.0  # ties are common
+        thresh = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
+        alone = nms(boxes[idx], scores, classes, thresh)
+        shared = nms(boxes[idx], scores, classes, thresh, overlaps=listed.take(idx))
+        np.testing.assert_array_equal(shared, alone, err_msg=f"trial {trial}")
 
 
 def test_nms_matches_reference():
