@@ -254,11 +254,11 @@ def adapt_episode(
     objective. Passing a dict as `details` fills it with the full
     intermediate arrays (only pre, post and components when lr = 0).
 
-    Clustering and NMS read one overlap list of the image's boxes
-    (`geometry.OverlapList`), listed from the pre pass's argmax classes at
-    min(theta, nms_iou). Episodes from the fresh state on one image can
-    share their pre passes and that list through `shared`, a `SceneWork`
-    of the image, with bit-identical results.
+    The pre pass and the overlap list of the image's boxes
+    (`geometry.OverlapList`), which clustering and NMS read, come from a
+    `SceneWork` of the image: `shared`, which episodes from one start state
+    on one image share with bit-identical results, or else one built for
+    this episode alone.
     """
     if proposals.n == 0:
         trace = _empty_trace()
@@ -266,12 +266,8 @@ def adapt_episode(
     if state is None:
         state = _fresh_state(proposals.d, cfg.reduction)
 
-    if shared is None:
-        pre = fused_scores(proposals, pool, state.phi, state.delta, cfg)
-        labels = cluster.predicted_classes(pre.fused)
-        overlaps = geometry.overlap_list(proposals.boxes, labels, min(cfg.theta, cfg.nms_iou))
-    else:
-        pre, overlaps = shared.inputs(proposals, pool, state, cfg)
+    work = shared if shared is not None else SceneWork(proposals, pool, [cfg])
+    pre, overlaps = work.inputs(proposals, pool, state, cfg)
     if cfg.lr == 0.0:
         # phi and delta stay as they were: the post pass would recompute pre
         detections = _predict(pre.fused, proposals.boxes, cfg, overlaps)
@@ -323,12 +319,9 @@ def baseline_config(kind: str, cfg: EpisodeConfig) -> EpisodeConfig:
     raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
 
 
-def run_baseline(
-    kind: str, proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig, *,
-    shared: SceneWork | None = None,
-) -> Detections:
+def run_baseline(kind: str, proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig) -> Detections:
     """One of the reference pipelines, expressed as a restricted episode (`baseline_config`)."""
-    detections, _ = adapt_episode(proposals, pool, baseline_config(kind, cfg), shared=shared)
+    detections, _ = adapt_episode(proposals, pool, baseline_config(kind, cfg))
     return detections
 
 
@@ -342,23 +335,25 @@ def _tensors(state: AdaptState) -> tuple[np.ndarray, ...]:
 
 
 class SceneWork:
-    """What the episodes from the fresh state on one image share: pre passes and one overlap list.
+    """What the episodes from one start state on one image share: pre passes and one overlap list.
 
     Those episodes start from the same parameters, so their pre passes
     differ only where their configs do. Each part is computed by the first
     episode that needs it, inside that episode, and read by the later
-    ones: a pass at a rho and reduction already scored is re-fused at the
-    new lam from its pooled and base scores; a new rho reuses the
-    down-projection and class scores; the overlap list is listed once,
-    from the first pass's argmax classes, at the lowest theta or nms_iou
-    of `cfgs`, the configs of the episodes to come. Every episode gets
-    bit-identical results to one run without it.
+    ones: a pass at a rho already scored is re-fused at the new lam from
+    its pooled and base scores; a new rho reuses the down-projection and
+    class scores of the first pass; the overlap list is listed once, from
+    the first pass's argmax classes, at the lowest theta or nms_iou of
+    `cfgs`, the configs of the episodes to come. The start state is that of
+    the first episode that reads the work. Every episode gets bit-identical
+    results to one run without it.
     """
 
     def __init__(self, proposals: ProposalSet, pool: PromptPool, cfgs: list[EpisodeConfig]) -> None:
         self.proposals, self.pool = proposals, pool
         self.t0 = min(min(cfg.theta, cfg.nms_iou) for cfg in cfgs)
-        self._passes: dict[tuple[int, float, float], grad.Forward] = {}  # (reduction, rho, lam) -> pass
+        self._state: AdaptState | None = None
+        self._passes: dict[tuple[float, float], grad.Forward] = {}  # (rho, lam) -> pass
         self._overlaps: geometry.OverlapList | None = None
 
     def inputs(
@@ -366,7 +361,7 @@ class SceneWork:
     ) -> tuple[grad.Forward, geometry.OverlapList]:
         """The pre pass and the overlap list of an episode on this image from `state`.
 
-        Raises ValueError for another image or prompt bank, or a state other than the fresh one.
+        Raises ValueError for another image or prompt bank, or a state other than the first reader's.
         """
         mine = self.proposals
         if not (
@@ -375,21 +370,22 @@ class SceneWork:
             and _same(pool.embeddings, self.pool.embeddings)
         ):
             raise ValueError("the shared work is of another image or prompt pool")
-        fresh = _fresh_state(proposals.d, cfg.reduction)
-        if not all(map(_same, _tensors(state), _tensors(fresh))):
-            raise ValueError("the shared work serves episodes from the fresh state only")
-        key = (cfg.reduction, cfg.rho, cfg.lam)
+        if self._state is None:
+            self._state = state
+        elif not all(map(_same, _tensors(state), _tensors(self._state))):
+            raise ValueError("the shared work serves one start state, the first reader's; this state differs")
+        key = (cfg.rho, cfg.lam)
         if key not in self._passes:
-            self._passes[key] = self._pre_pass(fresh, cfg)
+            self._passes[key] = self._pre_pass(cfg)
         pre = self._passes[key]
         if self._overlaps is None:
             self._overlaps = geometry.overlap_list(mine.boxes, cluster.predicted_classes(pre.fused), self.t0)
         return pre, self._overlaps
 
-    def _pre_pass(self, fresh: AdaptState, cfg: EpisodeConfig) -> grad.Forward:
-        alike = [(rho, p) for (reduction, rho, _), p in self._passes.items() if reduction == cfg.reduction]
-        for rho, like in alike:
+    def _pre_pass(self, cfg: EpisodeConfig) -> grad.Forward:
+        for (rho, _), like in self._passes.items():
             if rho == cfg.rho:
                 return replace(like, lam=cfg.lam, fused=scoring.fuse(like.pooled, like.base, cfg.lam))
-        reuse = alike[0][1] if alike else None
-        return fused_scores(self.proposals, self.pool, fresh.phi, fresh.delta, cfg, reuse=reuse)
+        # every pass shares the start state's W_down and b_down, so any can lend its down-projection
+        reuse = next(iter(self._passes.values()), None)
+        return fused_scores(self.proposals, self.pool, self._state.phi, self._state.delta, cfg, reuse=reuse)

@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import checks
-from .adapt import EpisodeConfig, SceneWork, adapt_episode, baseline_config, run_baseline
+from .adapt import EpisodeConfig, SceneWork, adapt_episode, baseline_config
+from .adapt import run_baseline  # unused: perfbench wraps cli.run_baseline by name and calls it for its zero-shot mAP
 from .data import _check_fields, scene_to_json
 from .evaluation import APReport, evaluate
 from .sim import ShiftSpec, SimConfig, make_suite
@@ -143,31 +144,22 @@ def load_config(path: str) -> RunConfig:
 
 # -- bench --------------------------------------------------------------- #
 
-def _run_method(method: str, proposals, pool, ecfg: EpisodeConfig, shared: SceneWork):
-    if method == "vlodtta":
-        return adapt_episode(proposals, pool, ecfg, shared=shared)[0]
-    return run_baseline(_BASELINE_OF[method], proposals, pool, ecfg, shared=shared)
+def _suite_reports(cfgs: list[EpisodeConfig], suite, measure_time: bool) -> list[tuple[APReport, float]]:
+    """Run each episode config over a suite; one report and mean ms per episode each.
 
-
-def _suite_reports(
-    runs: list[tuple[str, EpisodeConfig]], suite, measure_time: bool
-) -> list[tuple[APReport, float]]:
-    """Run each (method, config) over a suite; one report and mean ms per episode each.
-
-    Scene by scene, every run reads one `SceneWork` of the scene, so the
-    pre passes and the overlap list are computed once per scene, each in
-    the first episode that needs it. Each run's detections are evaluated
-    once, after the last scene.
+    Scene by scene, every config's episode reads one `SceneWork` of the
+    scene, so the pre passes and the overlap list are computed once per
+    scene, each in the first episode that needs it. Each config's
+    detections are evaluated once, after the last scene.
     """
     pool = suite.world.pool
-    cfgs = [ecfg if method == "vlodtta" else baseline_config(_BASELINE_OF[method], ecfg) for method, ecfg in runs]
-    dets_all = [[] for _ in runs]
-    elapsed = [0.0] * len(runs)
+    dets_all = [[] for _ in cfgs]
+    elapsed = [0.0] * len(cfgs)
     for proposals, _ in suite.scenes:
         shared = SceneWork(proposals, pool, cfgs)
-        for i, (method, ecfg) in enumerate(runs):
+        for i, ecfg in enumerate(cfgs):
             start = time.perf_counter() if measure_time else 0.0
-            dets_all[i].append(_run_method(method, proposals, pool, ecfg, shared))
+            dets_all[i].append(adapt_episode(proposals, pool, ecfg, shared=shared)[0])
             if measure_time:
                 elapsed[i] += time.perf_counter() - start
     gts_all = [list(gts) for _, gts in suite.scenes]
@@ -184,10 +176,11 @@ def _header_block(cfg: RunConfig) -> str:
 def cmd_bench(config_path: str, out_path: str) -> int:
     """Run every configured method over every base seed; write one CSV."""
     cfg = load_config(config_path)
+    cfgs = [cfg.episode if m == "vlodtta" else baseline_config(_BASELINE_OF[m], cfg.episode) for m in cfg.methods]
     rows = []
     for base_seed in range(cfg.seeds):
         suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-        reports = _suite_reports([(method, cfg.episode) for method in cfg.methods], suite, cfg.measure_time)
+        reports = _suite_reports(cfgs, suite, cfg.measure_time)
         for method, (report, mean_ms) in zip(cfg.methods, reports):
             rows.append((method, base_seed, report, mean_ms))
     rows.sort(key=lambda r: (cfg.methods.index(r[0]), r[1]))
@@ -302,17 +295,15 @@ def cmd_episode(config_path: str, scene_index: int, out_path: str) -> int:
     proposals, gts = suite.scenes[scene_index]
     details: dict = {}
     dets, trace = adapt_episode(proposals, suite.world.pool, cfg.episode, details=details)
+    traced = trace.to_dict()
     dump = {
         "config": run_config_to_dict(cfg),
         "scene_index": scene_index,
         "scene": scene_to_json(proposals, suite.world.pool, list(gts)),
-        "loss": trace.loss,
-        "grad_norms": trace.grad_norms,
-        "selections": [list(s) for s in trace.selections],
+        **{key: traced[key] for key in ("loss", "grad_norms", "selections", "detections")},
         "pre_fused": details["pre"].fused.tolist(),
         "post_fused": details["post"].fused.tolist(),
         "clusters": details["components"],
-        "detections": trace.to_dict()["detections"],
     }
     Path(out_path).write_text(json.dumps(dump, sort_keys=True, indent=1) + "\n")
     step = "no step (lr = 0)" if cfg.episode.lr == 0.0 else f"loss {trace.loss:.6f}, {trace.cluster_count} clusters"
@@ -350,11 +341,10 @@ def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) ->
     except ValueError as exc:
         print(f"bad grid for {param}: {exc}", file=sys.stderr)
         return 2
-    runs = [("vlodtta", episode_cfg) for episode_cfg in episode_cfgs]
-    reports = [[] for _ in runs]  # reports[value index][base seed]
+    reports = [[] for _ in episode_cfgs]  # reports[value index][base seed]
     for base_seed in range(cfg.seeds):
         suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-        for per_value, (report, _) in zip(reports, _suite_reports(runs, suite, measure_time=False)):
+        for per_value, (report, _) in zip(reports, _suite_reports(episode_cfgs, suite, measure_time=False)):
             per_value.append(report)
     lines = [_header_block(cfg), ",".join(SWEEP_COLUMNS) + "\n"]
     for cast, per_value in zip(casts, reports):

@@ -69,6 +69,23 @@ def _check_fields(values: dict, /, error: type[ValueError] = ValueError, **specs
             raise error(f"{name} must be {bound}: {value!r}")
 
 
+def _check_arrays(values: dict, *names: str) -> None:
+    """Raise ValueError naming the first of `names` that is not an ndarray of integers or floats."""
+    for name in names:
+        value = values[name]
+        if not isinstance(value, np.ndarray) or value.dtype.kind not in "iuf":
+            what = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
+            raise ValueError(f"{name} must be an integer or float array, not {what}")
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """A JSON value as a float array; one that is not numbers raises ValueError naming `what`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be numbers: {exc}") from None
+
+
 def _first_zero_row(m: np.ndarray) -> list[int] | None:
     """Index of the first vector along the last axis that cannot be normalized, if any."""
     bad = np.linalg.norm(m, axis=-1) <= EPS
@@ -93,8 +110,9 @@ class PromptPool:
     embeddings: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_arrays(vars(self), "embeddings")
         e = self.embeddings
-        if not isinstance(e, np.ndarray) or e.ndim != 3:
+        if e.ndim != 3:
             raise ValueError("embeddings must be a (K, T, d) array")
         if e.shape[0] < 2 or e.shape[1] < 1 or e.shape[2] < 2:
             raise ValueError(f"need K >= 2, T >= 1, d >= 2: {e.shape}")
@@ -126,6 +144,7 @@ class ProposalSet:
     class_embeddings: np.ndarray  # (K, d)
 
     def __post_init__(self) -> None:
+        _check_arrays(vars(self), "boxes", "features", "class_embeddings")
         b, v, t = self.boxes, self.features, self.class_embeddings
         if b.ndim != 2 or b.shape[1] != 4:
             raise ValueError(f"boxes must be (N, 4): {b.shape}")
@@ -177,28 +196,33 @@ def scene_to_json(proposals: ProposalSet, pool: PromptPool, gts: list[GroundTrut
 
 def scene_from_json(doc: dict) -> tuple[ProposalSet, PromptPool, list[GroundTruth]]:
     """Parse the documented scene layout; unknown or missing keys are rejected."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scene document must be a JSON object, not {type(doc).__name__}")
     if set(doc) != set(SCENE_JSON_KEYS):
         missing = sorted(set(SCENE_JSON_KEYS) - set(doc))
         unknown = sorted(set(doc) - set(SCENE_JSON_KEYS))
         raise ValueError(f"bad scene keys: missing {missing}, unknown {unknown}")
     _check_fields(doc, d="int >= 2", K="int >= 2", T="int >= 1")
     d, num_classes, pool_size = doc["d"], doc["K"], doc["T"]
-    boxes = np.asarray(doc["boxes"], dtype=float)
-    features = np.asarray(doc["features"], dtype=float)
+    boxes, features, class_embeddings, pool = (
+        _floats(doc[key], key) for key in ("boxes", "features", "class_embeddings", "prompt_pool")
+    )
     if boxes.size == 0:  # a scene without proposals writes both as []
         boxes, features = boxes.reshape(0, 4), features.reshape(0, d)
-    class_embeddings = np.asarray(doc["class_embeddings"], dtype=float)
-    pool = np.asarray(doc["prompt_pool"], dtype=float)
     if class_embeddings.shape != (num_classes, d):
         raise ValueError(f"class_embeddings must be ({num_classes}, {d}): {class_embeddings.shape}")
     if pool.shape != (num_classes, pool_size, d):
         raise ValueError(f"prompt_pool must be ({num_classes}, {pool_size}, {d}): {pool.shape}")
+    if not isinstance(doc["gt"], list):
+        raise ValueError(f"gt must be a list of objects, not {type(doc['gt']).__name__}")
     gts = []
     for row in doc["gt"]:
+        if not isinstance(row, dict):
+            raise ValueError(f"gt entry must be an object: {row!r}")
         if set(row) != {"box", "class_id"}:
             raise ValueError(f"bad gt entry keys: {sorted(row)}")
         _check_fields(row, class_id=f"int in [0, {num_classes - 1}]")
-        box = np.asarray(row["box"], dtype=float)
+        box = _floats(row["box"], "gt box")
         if box.shape != (4,):
             raise ValueError(f"gt box must have 4 coordinates: {row['box']}")
         gts.append(GroundTruth(box=Box(*box.tolist()), class_id=row["class_id"]))

@@ -153,6 +153,7 @@ def gen_world(seed: int, cfg: SimConfig, shift: ShiftSpec) -> World:
     The world keeps cfg and shift, and the prototypes rotated toward the
     shift direction by its magnitude, so every scene reads them from here.
     """
+    _check_fields({"seed": seed}, seed="int >= 0")
     g = _generator(seed, _WORLD_STREAM)
     num_classes, pool_size, d = cfg.num_classes, cfg.pool_size, cfg.d
     prototypes = normalize_rows(g.standard_normal((num_classes, d)))
@@ -256,6 +257,7 @@ def gen_scene_proposals(seed: int, world: World) -> tuple[ProposalSet, list[Grou
     copies a wrong class's shifted prototype at reduced alpha and sits next to
     its object. Background proposals are pure noise.
     """
+    _check_fields({"seed": seed}, seed="int >= 0")
     cfg, shifted = world.cfg, world.shifted
     g = _generator(seed, _SCENE_STREAM)
     width, height = float(cfg.extent[0]), float(cfg.extent[1])
@@ -312,8 +314,7 @@ def gen_scene_proposals(seed: int, world: World) -> tuple[ProposalSet, list[Grou
 def make_suite(base_seed: int, n_scenes: int, cfg: SimConfig, shift: ShiftSpec) -> Suite:
     """The world of base_seed plus n_scenes scenes drawn from it; scene i uses
     seed base_seed * SEED_SCALE + i and does not depend on n_scenes."""
-    if n_scenes < 1:
-        raise ValueError(f"n_scenes must be >= 1: {n_scenes}")
+    _check_fields({"base_seed": base_seed, "n_scenes": n_scenes}, base_seed="int >= 0", n_scenes="int >= 1")
     world = gen_world(base_seed, cfg, shift)
     scenes = []
     for i in range(n_scenes):

@@ -765,11 +765,14 @@ def test_shared_scene_work_matches_each_episode_alone(sim):
             shared = SceneWork(proposals, world.pool, cfgs)
             for name in order:
                 assert _episode_bits(proposals, world.pool, METHOD_CFGS[name], shared=shared) == alone[name]
-        shared = SceneWork(proposals, world.pool, cfgs)
-        for kind, name in (("zero_shot", "zs"), ("entropy_adapter", "entropy"), ("prompt_average", "pa")):
-            dets = run_baseline(kind, proposals, world.pool, CFG, shared=shared)
-            got = [_bits(dets.boxes).tolist(), _bits(dets.scores).tolist(), dets.classes.tolist()]
-            assert got == alone[name][0][:3]
+
+
+def _stepped_state(d, reduction):
+    """A start state other than the fresh one: a nonzero up-projection and prompt residual."""
+    fresh = AdaptState.zero_init(d, reduction)
+    rng = np.random.default_rng(3)
+    phi = replace(fresh.phi, w_up=0.01 * rng.standard_normal(fresh.phi.w_up.shape))
+    return AdaptState(phi, fresh.delta + 0.01)
 
 
 def test_shared_scene_work_rejects_other_images_states_and_thresholds():
@@ -778,10 +781,9 @@ def test_shared_scene_work_rejects_other_images_states_and_thresholds():
     shared = SceneWork(proposals, world.pool, [CFG])
     with pytest.raises(ValueError, match="another image"):
         adapt_episode(other, world.pool, CFG, shared=shared)
-    stepped = AdaptState.zero_init(proposals.d, CFG.reduction)
-    stepped = AdaptState(stepped.phi, stepped.delta + 0.01)
-    with pytest.raises(ValueError, match="fresh state"):
-        adapt_episode(proposals, world.pool, CFG, state=stepped, shared=shared)
+    adapt_episode(proposals, world.pool, CFG, shared=shared)  # the fresh state reads the work first
+    with pytest.raises(ValueError, match="one start state"):
+        adapt_episode(proposals, world.pool, CFG, state=_stepped_state(proposals.d, CFG.reduction), shared=shared)
     # the list is at t0 = min(theta, nms_iou) = 0.5: a lower theta cannot read it
     with pytest.raises(ValueError, match="t0"):
         adapt_episode(proposals, world.pool, replace(CFG, theta=0.3), shared=shared)
@@ -790,6 +792,28 @@ def test_shared_scene_work_rejects_other_images_states_and_thresholds():
     assert _episode_bits(proposals, world.pool, CFG, state=equal, shared=shared) == _episode_bits(
         proposals, world.pool, CFG
     )
+
+
+def test_scene_work_first_read_from_a_stepped_state_serves_that_state():
+    world, proposals, _ = _scene(seed=14)
+    stepped = _stepped_state(proposals.d, CFG.reduction)
+    alone = {name: _episode_bits(proposals, world.pool, cfg, state=stepped) for name, cfg in METHOD_CFGS.items()}
+    assert alone["zs"] != _episode_bits(proposals, world.pool, METHOD_CFGS["zs"])
+    for order in (list(METHOD_CFGS), list(METHOD_CFGS)[::-1], ["pa", "zs"]):
+        shared = SceneWork(proposals, world.pool, list(METHOD_CFGS.values()))
+        for name in order:
+            assert _episode_bits(proposals, world.pool, METHOD_CFGS[name], state=stepped, shared=shared) == alone[name]
+        with pytest.raises(ValueError, match="one start state"):
+            adapt_episode(proposals, world.pool, CFG, shared=shared)
+
+
+def test_scene_work_read_at_two_reductions_raises():
+    world, proposals, _ = _scene(seed=15)
+    cfgs = [CFG, replace(CFG, reduction=8)]
+    shared = SceneWork(proposals, world.pool, cfgs)
+    adapt_episode(proposals, world.pool, cfgs[0], shared=shared)
+    with pytest.raises(ValueError, match="one start state"):
+        adapt_episode(proposals, world.pool, cfgs[1], shared=shared)
 
 
 def test_one_listing_per_image_and_none_inside_nms_or_clustering(monkeypatch):

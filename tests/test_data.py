@@ -180,12 +180,67 @@ def _set(path, value):
         (_set(("gt", 0, "class_id"), 3), r"class_id must be in \[0, 2\]"),
         (lambda doc: doc.update(boxes=sum(doc["boxes"], [])), "boxes must be"),
         (_set(("gt", 0, "box"), [0, 0, 10, 10, 10]), "4 coordinates"),
+        (lambda doc: 5, "scene document must be a JSON object, not int"),
+        (lambda doc: [doc], "scene document must be a JSON object, not list"),
+        (_set(("gt",), 5), "gt must be a list of objects, not int"),
+        (_set(("gt",), "ab"), "gt must be a list of objects, not str"),
+        (_set(("gt",), [5]), "gt entry must be an object: 5"),
+        (_set(("gt",), [None]), "gt entry must be an object: None"),
+        (_set(("gt", 0, "box"), {"x1": 0}), "gt box must be numbers"),
     ],
-    ids=["float d", "float class_id", "bool class_id", "class_id >= K", "flat boxes", "5-coordinate box"],
+    ids=[
+        "float d", "float class_id", "bool class_id", "class_id >= K", "flat boxes", "5-coordinate box",
+        "int document", "list document", "int gt", "str gt", "int gt entry", "null gt entry", "object gt box",
+    ],
 )
 def test_from_json_rejects_values_it_used_to_coerce(edit, fragment):
     proposals, pool, gts = _sample_scene()
     doc = json.loads(json.dumps(scene_to_json(proposals, pool, gts)))
-    edit(doc)
+    doc = edit(doc) or doc  # an edit that returns a value replaces the whole document
     with pytest.raises(ValueError, match=fragment):
         scene_from_json(doc)
+
+
+def _with(proposals, **fields):
+    return {"boxes": proposals.boxes, "features": proposals.features,
+            "class_embeddings": proposals.class_embeddings, **fields}
+
+
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("boxes", lambda a: a.tolist(), "boxes must be an integer or float array, not list"),
+        ("features", lambda a: a.tolist(), "features must be an integer or float array, not list"),
+        ("class_embeddings", lambda a: a.astype(str), "class_embeddings must be an integer or float array, not <U"),
+        ("features", lambda a: a.astype(complex), "features must be an integer or float array, not complex128"),
+    ],
+    ids=["list boxes", "list features", "str class embeddings", "complex features"],
+)
+def test_proposal_set_rejects_fields_that_are_not_real_arrays(field, value, fragment):
+    proposals, _, _ = _sample_scene()
+    bad = _with(proposals, **{field: value(getattr(proposals, field))})
+    with pytest.raises(ValueError, match=fragment):
+        ProposalSet(**bad)
+
+
+@pytest.mark.parametrize(
+    "value, fragment",
+    [
+        (lambda a: a.tolist(), "embeddings must be an integer or float array, not list"),
+        (lambda a: a.astype(str), "embeddings must be an integer or float array, not <U"),
+        (lambda a: a.astype(complex), "embeddings must be an integer or float array, not complex128"),
+    ],
+    ids=["list", "str", "complex"],
+)
+def test_prompt_pool_rejects_embeddings_that_are_not_a_real_array(value, fragment):
+    _, pool, _ = _sample_scene()
+    with pytest.raises(ValueError, match=fragment):
+        PromptPool(value(pool.embeddings))
+
+
+def test_integer_arrays_still_make_a_proposal_set_and_pool():
+    proposals = ProposalSet(
+        np.array([[0, 0, 2, 2], [1, 1, 3, 4]]), np.array([[1, 0], [0, 2]]), np.array([[1, 0], [0, 1]], dtype=np.int32)
+    )
+    assert proposals.n == 2 and proposals.d == 2
+    assert PromptPool(np.ones((2, 1, 2), dtype=np.uint8)).d == 2

@@ -147,6 +147,23 @@ def test_make_suite_seed_derivation():
     np.testing.assert_array_equal(suite.scenes[2][0].features, direct.features)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, "1"], ids=["float", "bool", "negative", "str"])
+def test_generators_reject_a_seed_that_is_not_a_non_negative_int(seed):
+    world = gen_world(0, SIM, ShiftSpec())
+    with pytest.raises(ValueError, match="^seed must be"):
+        gen_world(seed, SIM, ShiftSpec())
+    with pytest.raises(ValueError, match="^seed must be"):
+        gen_scene_proposals(seed, world)
+    with pytest.raises(ValueError, match="^base_seed must be"):
+        make_suite(seed, 2, SIM, ShiftSpec())
+
+
+@pytest.mark.parametrize("n_scenes", [True, 2.0], ids=["bool", "float"])
+def test_make_suite_rejects_a_scene_count_that_is_not_an_int(n_scenes):
+    with pytest.raises(ValueError, match="^n_scenes must be an integer"):
+        make_suite(0, n_scenes, SIM, ShiftSpec())
+
+
 def test_suite_generation_under_one_second():
     start = time.perf_counter()
     make_suite(0, 20, SIM, ShiftSpec(magnitude=0.5))
