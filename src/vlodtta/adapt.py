@@ -46,8 +46,8 @@ class AdapterParams:
             raise ValueError("adapter tensor shapes are inconsistent")
 
     @classmethod
-    def zero_init(cls, d: int, reduction: int, seed: int = 0) -> "AdapterParams":
-        """Identity adapter: zero up-projection, seeded Gaussian down-projection.
+    def zero_init(cls, d: int, reduction: int) -> "AdapterParams":
+        """Identity adapter: zero up-projection, Gaussian down-projection drawn from (d, reduction).
 
         The up-projection starts at zero so the adapter output is exactly
         zero; the down-projection starts at small random values so both
@@ -56,7 +56,7 @@ class AdapterParams:
         if reduction < 1 or d % reduction != 0:
             raise ValueError(f"feature dim {d} must be divisible by reduction {reduction}")
         hidden = d // reduction
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, d, reduction))))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((0, d, reduction))))
         w_down = rng.standard_normal((d, hidden)) / math.sqrt(d)
         return cls(w_down=w_down, b_down=np.zeros(hidden), w_up=np.zeros((hidden, d)), b_up=np.zeros(d))
 
@@ -82,8 +82,8 @@ class AdaptState:
     delta: np.ndarray
 
     @classmethod
-    def zero_init(cls, d: int, reduction: int, seed: int = 0) -> "AdaptState":
-        return cls(phi=AdapterParams.zero_init(d, reduction, seed), delta=np.zeros(d))
+    def zero_init(cls, d: int, reduction: int) -> "AdaptState":
+        return cls(phi=AdapterParams.zero_init(d, reduction), delta=np.zeros(d))
 
     def stepped(self, grads: grad.Gradients, lr: float) -> "AdaptState":
         """The parameters after one plain gradient-descent step on every tensor."""
@@ -190,10 +190,10 @@ def _empty_trace() -> EpisodeTrace:
 
 @functools.lru_cache(maxsize=16)
 def _fresh_state(d: int, reduction: int) -> AdaptState:
-    """`AdaptState.zero_init(d, reduction)`, drawn once and read-only, so no
-    episode can change what the next one starts from."""
+    """`AdaptState.zero_init(d, reduction)`, where every episode starts: drawn
+    once and read-only, so no episode can change what the next one starts from."""
     state = AdaptState.zero_init(d, reduction)
-    for a in _tensors(state):
+    for a in (*vars(state.phi).values(), state.delta):
         a.flags.writeable = False
     return state
 
@@ -234,7 +234,6 @@ def adapt_episode(
     proposals: ProposalSet,
     pool: PromptPool,
     cfg: EpisodeConfig,
-    state: AdaptState | None = None,
     details: dict[str, Any] | None = None,
     *,
     shared: SceneWork | None = None,
@@ -243,10 +242,10 @@ def adapt_episode(
 
     Prompt selections, kept-proposal indices, and entropy weights are all
     frozen before the step; only the adapter and the prompt residual move.
-    The step returns new parameters that only the post pass reads; `state`
-    is never written, so no episode depends on the ones before it. When it
-    is None, every episode starts from the same read-only
-    `AdaptState.zero_init(d, reduction)`, drawn once per (d, reduction).
+    Every episode starts from the same read-only
+    `AdaptState.zero_init(d, reduction)`, drawn once per (d, reduction);
+    the step returns new parameters that only the post pass reads, so no
+    episode depends on the ones before it.
     The detections come back as a `Detections` record of arrays, which the
     trace holds too; `Detection` objects are built only when it is
     iterated. An empty proposal set yields an empty record and no update;
@@ -256,18 +255,15 @@ def adapt_episode(
 
     The pre pass and the overlap list of the image's boxes
     (`geometry.OverlapList`), which clustering and NMS read, come from a
-    `SceneWork` of the image: `shared`, which episodes from one start state
-    on one image share with bit-identical results, or else one built for
-    this episode alone.
+    `SceneWork` of the image: `shared`, which episodes on one image share
+    with bit-identical results, or else one built for this episode alone.
     """
     if proposals.n == 0:
         trace = _empty_trace()
         return trace.detections, trace
-    if state is None:
-        state = _fresh_state(proposals.d, cfg.reduction)
 
     work = shared if shared is not None else SceneWork(proposals, pool, [cfg])
-    pre, overlaps = work.inputs(proposals, pool, state, cfg)
+    pre, overlaps = work.inputs(proposals, pool, cfg)
     if cfg.lr == 0.0:
         # phi and delta stay as they were: the post pass would recompute pre
         detections = _predict(pre.fused, proposals.boxes, cfg, overlaps)
@@ -284,11 +280,10 @@ def adapt_episode(
     )
     loss, saved = grad.objective(pre, constants)
     grads = grad.backward(saved)
-    new = state.stepped(grads, cfg.lr)
-    # a zero W_up passes W_down and b_down exact zero gradients (`grad.backward`), so the
-    # step leaves them bit-identical and the post pass takes the pre pass's down-projection
-    reuse = pre if not state.phi.w_up.any() else None
-    post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=reuse)
+    new = _fresh_state(proposals.d, cfg.reduction).stepped(grads, cfg.lr)
+    # the fresh W_up is zero, which passes W_down and b_down exact zero gradients (`grad.backward`),
+    # so the step leaves them bit-identical and the post pass takes the pre pass's down-projection
+    post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=pre)
     detections = _predict(post.fused, proposals.boxes, cfg, overlaps)
 
     _, first = np.unique(assignment.component_id, return_index=True)
@@ -329,39 +324,37 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or np.array_equal(a, b)
 
 
-def _tensors(state: AdaptState) -> tuple[np.ndarray, ...]:
-    phi = state.phi
-    return phi.w_down, phi.b_down, phi.w_up, phi.b_up, state.delta
-
-
 class SceneWork:
-    """What the episodes from one start state on one image share: pre passes and one overlap list.
+    """What the episodes on one image share: pre passes and one overlap list.
 
-    Those episodes start from the same parameters, so their pre passes
-    differ only where their configs do. Each part is computed by the first
+    The configs of the episodes to come, `cfgs`, share one reduction, so
+    every episode starts from its fresh state and their pre passes differ
+    only where their configs do. Each part is computed by the first
     episode that needs it, inside that episode, and read by the later
     ones: a pass at a rho already scored is re-fused at the new lam from
     its pooled and base scores; a new rho reuses the down-projection and
     class scores of the first pass; the overlap list is listed once, from
     the first pass's argmax classes, at the lowest theta or nms_iou of
-    `cfgs`, the configs of the episodes to come. The start state is that of
-    the first episode that reads the work. Every episode gets bit-identical
-    results to one run without it.
+    `cfgs`. Every episode gets bit-identical results to one run without it.
     """
 
     def __init__(self, proposals: ProposalSet, pool: PromptPool, cfgs: list[EpisodeConfig]) -> None:
+        reductions = {cfg.reduction for cfg in cfgs}
+        if len(reductions) != 1:
+            raise ValueError(f"the shared work needs configs of exactly one reduction: {sorted(reductions)}")
+        (self.reduction,) = reductions
         self.proposals, self.pool = proposals, pool
         self.t0 = min(min(cfg.theta, cfg.nms_iou) for cfg in cfgs)
-        self._state: AdaptState | None = None
+        self._state = _fresh_state(proposals.d, self.reduction)
         self._passes: dict[tuple[float, float], grad.Forward] = {}  # (rho, lam) -> pass
         self._overlaps: geometry.OverlapList | None = None
 
     def inputs(
-        self, proposals: ProposalSet, pool: PromptPool, state: AdaptState, cfg: EpisodeConfig
+        self, proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig
     ) -> tuple[grad.Forward, geometry.OverlapList]:
-        """The pre pass and the overlap list of an episode on this image from `state`.
+        """The pre pass and the overlap list of an episode on this image.
 
-        Raises ValueError for another image or prompt bank, or a state other than the first reader's.
+        Raises ValueError for another image or prompt bank, or a config of another reduction.
         """
         mine = self.proposals
         if not (
@@ -370,10 +363,8 @@ class SceneWork:
             and _same(pool.embeddings, self.pool.embeddings)
         ):
             raise ValueError("the shared work is of another image or prompt pool")
-        if self._state is None:
-            self._state = state
-        elif not all(map(_same, _tensors(state), _tensors(self._state))):
-            raise ValueError("the shared work serves one start state, the first reader's; this state differs")
+        if cfg.reduction != self.reduction:
+            raise ValueError(f"the shared work serves reduction {self.reduction}, not {cfg.reduction}")
         key = (cfg.rho, cfg.lam)
         if key not in self._passes:
             self._passes[key] = self._pre_pass(cfg)
@@ -386,6 +377,6 @@ class SceneWork:
         for (rho, _), like in self._passes.items():
             if rho == cfg.rho:
                 return replace(like, lam=cfg.lam, fused=scoring.fuse(like.pooled, like.base, cfg.lam))
-        # every pass shares the start state's W_down and b_down, so any can lend its down-projection
+        # every pass shares the fresh state's W_down and b_down, so any can lend its down-projection
         reuse = next(iter(self._passes.values()), None)
         return fused_scores(self.proposals, self.pool, self._state.phi, self._state.delta, cfg, reuse=reuse)

@@ -100,6 +100,8 @@ class GroundTruth:
     class_id: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.box, Box):
+            raise ValueError(f"box must be a Box, not {type(self.box).__name__}")
         _check_fields(vars(self), class_id="int >= 0")
 
 

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Box", "Detection", "Detections", "OverlapList", "iou", "iou_matrix", "overlap_list", "overlap_pairs", "nms",
-    "top_m_filter",
+    "Box", "Detection", "Detections", "OverlapList", "iou", "iou_matrix", "overlap_list", "nms", "top_m_filter",
 ]
 
 
@@ -66,9 +65,20 @@ class Detections:
     classes: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.scores)
+        for name, kinds, what in (("boxes", "iuf", "an integer or float"), ("scores", "iuf", "an integer or float"),
+                                  ("classes", "iu", "an integer")):
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray) or value.dtype.kind not in kinds:
+                got = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
+                raise ValueError(f"{name} must be {what} array, not {got}")
+        n = self.scores.size
         if self.boxes.shape != (n, 4) or self.scores.shape != (n,) or self.classes.shape != (n,):
             raise ValueError(f"{self.boxes.shape} boxes vs {self.scores.shape} scores vs {self.classes.shape} classes")
+        for name in ("boxes", "scores"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if (self.classes < 0).any():
+            raise ValueError("classes must be non-negative")
         for name in ("boxes", "scores", "classes"):
             view = getattr(self, name).view()
             view.flags.writeable = False
@@ -121,7 +131,7 @@ def _column_iou(a, area_a: np.ndarray, b, area_b: np.ndarray) -> np.ndarray:
     """Elementwise IoU from broadcastable x1, y1, x2, y2 columns and their areas.
 
     Every array IoU goes through these operations, which are `iou`'s, so a
-    pair gets the same bits from iou_matrix, overlap_pairs and `iou`.
+    pair gets the same bits from iou_matrix, overlap_list and `iou`.
     """
     iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
     ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
@@ -148,9 +158,9 @@ class OverlapList:
     `overlap_list(boxes, labels, t0)` lists the pairs i < j whose reference
     labels match and whose IoU is at least t0, with those IoUs. `rows`
     are the boxes a query reads, in order (all of them at first); `take`
-    narrows them. `pairs` answers for those rows what `overlap_pairs`
-    answers for the boxes themselves, under the query's own labels, at
-    any threshold from t0 up.
+    narrows them. `pairs` answers for those rows what a fresh listing of
+    their boxes would, under the query's own labels, at any threshold from
+    t0 up.
     """
 
     columns: np.ndarray  # (4, N) x1, y1, x2, y2 columns of the image's N boxes
@@ -173,7 +183,7 @@ class OverlapList:
         )
 
     def pairs(self, labels, thresh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ii, jj, ious): the pairs overlap_pairs(boxes[rows], labels, thresh) gives, and their IoUs.
+        """(ii, jj, ious): the pairs overlap_list(boxes[rows], labels, thresh) lists, and their IoUs.
 
         The pair set is the same, not its order; ii < jj are positions in
         `rows`. A row whose label is its reference label reads its pairs
@@ -214,8 +224,9 @@ class OverlapList:
 def overlap_list(boxes, labels, t0: float) -> OverlapList:
     """The pairs i < j of boxes with the same label and IoU >= t0, read at every box.
 
-    Every same-label pair is listed and tested (see overlap_pairs), and
-    its IoU kept.
+    Every same-label pair is listed and tested, disjoint ones included (so
+    t0 = 0 links each label completely), and its IoU kept. The pairs come
+    grouped by label, in row-major order within one.
     """
     boxes = _box_array(boxes)
     labels = np.asarray(labels)
@@ -234,17 +245,6 @@ def overlap_list(boxes, labels, t0: float) -> OverlapList:
     ious = _column_iou([c[ii] for c in cols], area[ii], [c[jj] for c in cols], area[jj])
     keep = ious >= t0
     return OverlapList(cols, area, labels, t0, ii[keep], jj[keep], ious[keep], np.arange(n))
-
-
-def overlap_pairs(boxes, classes, thresh: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of the same class whose IoU is at least thresh.
-
-    Every same-class pair is listed and tested, disjoint ones included, so
-    thresh 0 links each class completely. Only same-class pairs get an
-    IoU; pairs come back grouped by class, in row-major order within one.
-    """
-    listed = overlap_list(boxes, classes, thresh)
-    return listed.first, listed.second
 
 
 def nms(

@@ -180,9 +180,8 @@ class Forward:
     prompt_norms: np.ndarray   # (K, n_sel, 1)
     mean_dirs: np.ndarray      # (K, d) each class's mean unit prompt (not unit length)
     base: np.ndarray           # (N, K) detector cosine scores
-    pooled: np.ndarray         # (N, K) mean selected-prompt cosine: unit_features @ mean_dirs.T
+    pooled: np.ndarray         # (N, K) mean selected-prompt cosine: unit adapted rows @ mean_dirs.T
     fused: np.ndarray          # (N, K) convex combination
-    bank: np.ndarray           # (K, T, d) prompt embeddings the pass scored against
     delta: np.ndarray          # (d,) prompt residual of the pass
     lam: float
 
@@ -190,16 +189,6 @@ class Forward:
     def adapted(self) -> np.ndarray:
         """(N, d) features after the adapter; built on demand, for inspection only."""
         return adapter(self.features, self.phi, (self.pre, self.hidden))[2]
-
-    @property
-    def unit_features(self) -> np.ndarray:
-        """(N, d) adapted features at unit length; built on demand, for inspection only."""
-        return self.adapted / self.feature_norms
-
-    @property
-    def prompts(self) -> np.ndarray:
-        """(N, K, T) cosines against every prompt; built on demand, for inspection only."""
-        return scoring.prompt_scores(self.adapted, self.bank, self.delta)
 
 
 def _down(v: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +222,6 @@ def adapter(
     """
     v = np.asarray(features, dtype=float)
     pre, hidden = _down(v, phi) if down is None else down
-    if not phi.w_up.any():  # as in every fresh adapter: the up-projection adds exactly b_up
-        return pre, hidden, v + phi.b_up
     up = hidden @ phi.w_up
     up += phi.b_up
     return pre, hidden, np.add(v, up, out=up)
@@ -335,7 +322,7 @@ def forward(
         feature_class=feature_class, feature_up=feature_up, feature_norms=feature_norms,
         class_dirs=class_dirs, selections=selections, unit_prompts=unit_prompts,
         prompt_norms=prompt_norms, mean_dirs=mean_dirs, base=base, pooled=pooled,
-        fused=scoring.fuse(pooled, base, lam), bank=bank, delta=delta, lam=lam,
+        fused=scoring.fuse(pooled, base, lam), delta=delta, lam=lam,
     )
 
 

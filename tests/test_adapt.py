@@ -113,11 +113,11 @@ def test_adapter_params_validate_shapes():
 
 
 def test_zero_init_is_seed_deterministic():
-    a = AdapterParams.zero_init(32, 16, seed=0)
-    b = AdapterParams.zero_init(32, 16, seed=0)
-    c = AdapterParams.zero_init(32, 16, seed=1)
-    np.testing.assert_array_equal(a.w_down, b.w_down)
-    assert not np.array_equal(a.w_down, c.w_down)
+    a = AdapterParams.zero_init(32, 16)
+    b = AdapterParams.zero_init(32, 16)
+    assert a is not b
+    for name in ("w_down", "b_down", "w_up", "b_up"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def _state_bytes(state):
@@ -146,30 +146,27 @@ def test_state_stepped_returns_new_parameters():
 
 def test_episode_resets_parameters_exactly():
     world, proposals, _ = _scene()
-    state = AdaptState.zero_init(proposals.d, CFG.reduction)
-    w_down0 = state.phi.w_down.copy()
-    _, trace = adapt_episode(proposals, world.pool, CFG, state=state)
+    fresh = vlodtta.adapt._fresh_state(proposals.d, CFG.reduction)
+    before = _state_bytes(fresh)
+    assert before == _state_bytes(AdaptState.zero_init(proposals.d, CFG.reduction))
+    _, trace = adapt_episode(proposals, world.pool, CFG)
     assert any(v > 0 for v in trace.grad_norms.values())  # a step really happened
-    np.testing.assert_array_equal(state.phi.w_down, w_down0)
-    np.testing.assert_array_equal(state.phi.b_down, np.zeros_like(state.phi.b_down))
-    np.testing.assert_array_equal(state.phi.w_up, np.zeros_like(state.phi.w_up))
-    np.testing.assert_array_equal(state.phi.b_up, np.zeros_like(state.phi.b_up))
-    np.testing.assert_array_equal(state.delta, np.zeros_like(state.delta))
+    assert _state_bytes(fresh) == before
 
 
 def test_failed_episode_leaves_the_passed_state_unchanged(monkeypatch):
     # prediction runs after the step: an episode that raises there must not
-    # leave the caller's parameters stepped
+    # leave the parameters every episode starts from stepped
     def failing(*a, **k):
         raise RuntimeError("injected nms failure")
 
     world, proposals, _ = _scene()
-    state = AdaptState.zero_init(proposals.d, CFG.reduction)
-    snapshot = _state_bytes(state)
+    fresh = vlodtta.adapt._fresh_state(proposals.d, CFG.reduction)
+    snapshot = _state_bytes(fresh)
     monkeypatch.setattr(vlodtta.geometry, "nms", failing)
     with pytest.raises(RuntimeError, match="injected"):
-        adapt_episode(proposals, world.pool, CFG, state=state)
-    assert _state_bytes(state) == snapshot
+        adapt_episode(proposals, world.pool, CFG)
+    assert _state_bytes(fresh) == snapshot
 
 
 @st.composite
@@ -196,28 +193,27 @@ def _small_scenes(draw):
         top_m=draw(st.integers(1, 80)),
         lr=draw(st.sampled_from([0.0, CFG.lr, 0.1])),
     )
-    return world, scene_a, scene_b, cfg, draw(st.integers(0, 3))
+    return world, scene_a, scene_b, cfg
 
 
 @given(_small_scenes())
 @settings(max_examples=25, deadline=None)
 def test_episode_contract_on_random_scenes(case):
-    world, scene_a, scene_b, cfg, init_seed = case
+    world, scene_a, scene_b, cfg = case
     k = world.pool.num_classes
-    fresh = AdaptState.zero_init(scene_b.d, cfg.reduction, seed=init_seed)
-    alone = adapt_episode(scene_b, world.pool, cfg, state=fresh)
-    state = AdaptState.zero_init(scene_b.d, cfg.reduction, seed=init_seed)
-    snapshot = _state_bytes(state)
+    alone = adapt_episode(scene_b, world.pool, cfg)
+    fresh = vlodtta.adapt._fresh_state(scene_b.d, cfg.reduction)
+    snapshot = _state_bytes(fresh)
     for proposals in (scene_a, scene_b):
-        dets, trace = adapt_episode(proposals, world.pool, cfg, state=state)
+        dets, trace = adapt_episode(proposals, world.pool, cfg)
         rows = {tuple(row) for row in proposals.boxes.tolist()}
         for det in dets:
             assert (det.box.x1, det.box.y1, det.box.x2, det.box.y2) in rows
             assert math.isfinite(det.score)
             assert 0 <= det.class_id < k
         assert math.isfinite(trace.loss)
-        assert _state_bytes(state) == snapshot
-    # scene B after scene A, through the same state object, as B alone
+        assert _state_bytes(fresh) == snapshot
+    # scene B after scene A as B alone
     assert (dets, trace) == alone
 
 
@@ -343,8 +339,12 @@ def test_default_state_is_drawn_once_and_read_only():
         assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
     with pytest.raises(ValueError):
         state.phi.w_down[0, 0] = 1.0
-    # an episode without a state starts from it, as from a fresh zero_init
-    assert adapt_episode(proposals, world.pool, CFG) == adapt_episode(proposals, world.pool, CFG, state=want)
+    # every episode starts from it, stepped or not
+    for cfg in (CFG, replace(CFG, lr=0.0)):
+        details = {}
+        adapt_episode(proposals, world.pool, cfg, details=details)
+        assert details["pre"].phi is state.phi
+        assert details["pre"].delta.tobytes() == state.delta.tobytes()
 
 
 def test_episode_details_dict():
@@ -421,18 +421,6 @@ def test_compat_and_selected_scoring_match_the_dense_tensor(sim, n_scenes):
             assert np.max(np.abs(scores.pooled - aggregate_selected(z, sel))) <= 1e-12
             all_prompts = fused_scores(proposals, world.pool, state.phi, state.delta, full)
             assert np.max(np.abs(all_prompts.pooled - z.mean(axis=-1))) <= 1e-12
-
-
-def test_lazy_prompt_tensor_matches_dense_scores():
-    world, proposals, _ = _scene(seed=11)
-    details = {}
-    adapt_episode(proposals, world.pool, CFG, details=details)
-    zero, stepped = _stepped_states(world, proposals)
-    for name, state in (("pre", zero), ("post", stepped)):
-        scores = details[name]
-        want = prompt_scores(scores.adapted, world.pool.embeddings, state.delta)
-        np.testing.assert_array_equal(scores.prompts, want)
-    assert not np.array_equal(details["pre"].prompts, details["post"].prompts)
 
 
 @pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
@@ -615,25 +603,6 @@ def test_post_pass_reuses_the_unchanged_down_projection(sim):
     assert np.array_equal(_bits(post.class_dirs), _bits(normalize_rows(proposals.class_embeddings)))
 
 
-def test_post_pass_recomputes_the_down_projection_of_a_nonzero_up_projection():
-    world, proposals, _ = _scene(seed=8)
-    zero = AdaptState.zero_init(proposals.d, CFG.reduction)
-    rng = np.random.default_rng(3)
-    state = AdaptState(
-        phi=replace(zero.phi, w_up=0.1 * rng.standard_normal(zero.phi.w_up.shape)), delta=zero.delta
-    )
-    details = {}
-    adapt_episode(proposals, world.pool, CFG, state=state, details=details)
-    pre, post = details["pre"], details["post"]
-    assert details["grads"].w_down.any()  # the step moves the down-projection
-    assert post.pre is not pre.pre and not np.array_equal(post.pre, pre.pre)
-    new = state.stepped(details["grads"], CFG.lr)
-    fresh_pre, fresh_hidden, fresh_adapted = vlodtta.grad.adapter(proposals.features, new.phi)
-    assert np.array_equal(_bits(post.pre), _bits(fresh_pre))
-    assert np.array_equal(_bits(post.hidden), _bits(fresh_hidden))
-    assert np.array_equal(_bits(post.adapted), _bits(fresh_adapted))
-
-
 def test_empty_proposals_no_update():
     world, proposals, _ = _scene()
     empty = ProposalSet(
@@ -767,53 +736,28 @@ def test_shared_scene_work_matches_each_episode_alone(sim):
                 assert _episode_bits(proposals, world.pool, METHOD_CFGS[name], shared=shared) == alone[name]
 
 
-def _stepped_state(d, reduction):
-    """A start state other than the fresh one: a nonzero up-projection and prompt residual."""
-    fresh = AdaptState.zero_init(d, reduction)
-    rng = np.random.default_rng(3)
-    phi = replace(fresh.phi, w_up=0.01 * rng.standard_normal(fresh.phi.w_up.shape))
-    return AdaptState(phi, fresh.delta + 0.01)
-
-
 def test_shared_scene_work_rejects_other_images_states_and_thresholds():
     world, proposals, _ = _scene(seed=12)
     other, _ = gen_scene_proposals(12 * SEED_SCALE + 1, world)
     shared = SceneWork(proposals, world.pool, [CFG])
     with pytest.raises(ValueError, match="another image"):
         adapt_episode(other, world.pool, CFG, shared=shared)
-    adapt_episode(proposals, world.pool, CFG, shared=shared)  # the fresh state reads the work first
-    with pytest.raises(ValueError, match="one start state"):
-        adapt_episode(proposals, world.pool, CFG, state=_stepped_state(proposals.d, CFG.reduction), shared=shared)
+    # it starts every episode from the fresh state of one reduction
+    with pytest.raises(ValueError, match="^the shared work serves reduction 16, not 8$"):
+        adapt_episode(proposals, world.pool, replace(CFG, reduction=8), shared=shared)
     # the list is at t0 = min(theta, nms_iou) = 0.5: a lower theta cannot read it
     with pytest.raises(ValueError, match="t0"):
         adapt_episode(proposals, world.pool, replace(CFG, theta=0.3), shared=shared)
-    # a state equal to the fresh one is the fresh state
-    equal = AdaptState.zero_init(proposals.d, CFG.reduction)
-    assert _episode_bits(proposals, world.pool, CFG, state=equal, shared=shared) == _episode_bits(
-        proposals, world.pool, CFG
-    )
-
-
-def test_scene_work_first_read_from_a_stepped_state_serves_that_state():
-    world, proposals, _ = _scene(seed=14)
-    stepped = _stepped_state(proposals.d, CFG.reduction)
-    alone = {name: _episode_bits(proposals, world.pool, cfg, state=stepped) for name, cfg in METHOD_CFGS.items()}
-    assert alone["zs"] != _episode_bits(proposals, world.pool, METHOD_CFGS["zs"])
-    for order in (list(METHOD_CFGS), list(METHOD_CFGS)[::-1], ["pa", "zs"]):
-        shared = SceneWork(proposals, world.pool, list(METHOD_CFGS.values()))
-        for name in order:
-            assert _episode_bits(proposals, world.pool, METHOD_CFGS[name], state=stepped, shared=shared) == alone[name]
-        with pytest.raises(ValueError, match="one start state"):
-            adapt_episode(proposals, world.pool, CFG, shared=shared)
+    assert _episode_bits(proposals, world.pool, CFG, shared=shared) == _episode_bits(proposals, world.pool, CFG)
 
 
 def test_scene_work_read_at_two_reductions_raises():
+    # the configs must share one reduction, checked when the work is built
     world, proposals, _ = _scene(seed=15)
-    cfgs = [CFG, replace(CFG, reduction=8)]
-    shared = SceneWork(proposals, world.pool, cfgs)
-    adapt_episode(proposals, world.pool, cfgs[0], shared=shared)
-    with pytest.raises(ValueError, match="one start state"):
-        adapt_episode(proposals, world.pool, cfgs[1], shared=shared)
+    with pytest.raises(ValueError, match=r"^the shared work needs configs of exactly one reduction: \[8, 16\]$"):
+        SceneWork(proposals, world.pool, [CFG, replace(CFG, reduction=8)])
+    with pytest.raises(ValueError, match=r"^the shared work needs configs of exactly one reduction: \[\]$"):
+        SceneWork(proposals, world.pool, [])
 
 
 def test_one_listing_per_image_and_none_inside_nms_or_clustering(monkeypatch):

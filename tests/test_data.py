@@ -109,6 +109,14 @@ def test_ground_truth_rejects_a_class_that_is_not_an_int(class_id):
         GroundTruth(Box(0, 0, 1, 1), class_id)
 
 
+@pytest.mark.parametrize(
+    "box", [[0, 0, 1, 1], (0.0, 0.0, 1.0, 1.0), np.array([0.0, 0.0, 1.0, 1.0])], ids=["list", "tuple", "array"]
+)
+def test_ground_truth_rejects_a_box_that_is_not_a_box(box):
+    with pytest.raises(ValueError, match="^box must be a Box, not "):
+        GroundTruth(box, 0)
+
+
 def test_round_trip_preserves_everything():
     proposals, pool, gts = _sample_scene(seed=5)
     doc = scene_to_json(proposals, pool, gts)

@@ -16,7 +16,6 @@ from vlodtta.geometry import (
     iou_matrix,
     nms,
     overlap_list,
-    overlap_pairs,
     top_m_filter,
 )
 
@@ -176,14 +175,15 @@ def test_overlap_pairs_matches_dense_oracle():
         same_class = classes[:, None] == classes[None, :]
         for thresh in (0.0, 0.5, 1.0):
             want_i, want_j = np.nonzero(np.triu(same_class & (iou_matrix(boxes) >= thresh), 1))
-            ii, jj = overlap_pairs(boxes, classes, thresh)
+            listed = overlap_list(boxes, classes, thresh)
+            ii, jj = listed.first, listed.second
             order = np.lexsort((jj, ii))
             np.testing.assert_array_equal(ii[order], want_i, err_msg=f"case {case} at {thresh}")
             np.testing.assert_array_equal(jj[order], want_j, err_msg=f"case {case} at {thresh}")
 
 
 def test_overlap_pairs_matches_scalar_iou_bit_for_bit():
-    # an oracle that shares no array code with overlap_pairs: scalar `iou`
+    # an oracle that shares no array code with overlap_list: scalar `iou`
     # over every same-class pair i < j, listed in the kernel's order (by
     # class, then row-major); thresholds at each exact pair IoU and at the
     # next float above it tell a last-bit difference in either direction
@@ -208,13 +208,13 @@ def test_overlap_pairs_matches_scalar_iou_bit_for_bit():
         exact = sorted(set(ious))
         for thresh in [0.0, 1.0, *exact, *np.nextafter(exact, 2.0).tolist()]:
             want = [(i, j) for (_, i, j), v in zip(pairs, ious) if v >= thresh]
-            ii, jj = overlap_pairs(boxes, classes, thresh)
-            assert list(zip(ii.tolist(), jj.tolist())) == want, (case, thresh)
+            listed = overlap_list(boxes, classes, thresh)
+            assert list(zip(listed.first.tolist(), listed.second.tolist())) == want, (case, thresh)
 
 
 def test_overlap_pairs_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        overlap_pairs(np.zeros((2, 4)), np.zeros(3, int), 0.5)
+        overlap_list(np.zeros((2, 4)), np.zeros(3, int), 0.5)
 
 
 @st.composite
@@ -252,8 +252,8 @@ def test_overlap_list_query_matches_a_fresh_listing(case):
     assert np.all(ii < jj)
     got = set(zip(ii.tolist(), jj.tolist()))
     assert len(got) == ii.size  # no pair twice
-    want_i, want_j = overlap_pairs(boxes[rows], labels, thresh)
-    assert got == set(zip(want_i.tolist(), want_j.tolist()))
+    fresh = overlap_list(boxes[rows], labels, thresh)
+    assert got == set(zip(fresh.first.tolist(), fresh.second.tolist()))
     objs = [Box(*row) for row in boxes[rows].tolist()]
     for i, j, value in zip(ii.tolist(), jj.tolist(), ious.tolist()):
         assert value == iou(objs[i], objs[j])  # the same bits as the scalar IoU
@@ -306,7 +306,7 @@ def test_nms_matches_reference():
         want = reference_nms(dets, thresh, class_wise=class_wise)
         assert got == want, f"trial {trial}"
     # a few score levels, so ties are common: the tie-break lives in the rank
-    # order that nms hands to overlap_pairs
+    # order that nms hands to its overlap list
     for trial in range(60):
         n = int(rng.integers(1, 60))
         dets = [
@@ -456,3 +456,22 @@ def test_detections_record_is_read_only_and_checks_shapes():
         Detections(np.zeros((2, 3)), np.ones(2), np.zeros(2, int))
     with pytest.raises(ValueError):
         Detections(np.zeros((2, 4)), np.ones(2), np.zeros(1, int))
+    # integer arrays of any width make a record
+    Detections(np.array([[0, 0, 1, 1]]), np.ones(1, int), np.zeros(1, np.uint8))
+    # a field that is not a real array, or holds what no detection can, is named
+    unit, one, zero = np.array([[0.0, 0.0, 1.0, 1.0]]), np.ones(1), np.zeros(1, int)
+    bad = [
+        (([[0, 0, 1, 1]], [0.5], [0]), "boxes must be an integer or float array, not list"),
+        ((unit, 0.5, zero), "scores must be an integer or float array, not float"),
+        ((unit, one, [0]), "classes must be an integer array, not list"),
+        ((unit.astype(str), one, zero), "boxes must be an integer or float array, not <U"),
+        ((unit, one.astype(complex), zero), "scores must be an integer or float array, not complex128"),
+        ((unit, one, np.array([0.7])), "classes must be an integer array, not float64"),
+        ((unit, one, np.array([True])), "classes must be an integer array, not bool"),
+        ((unit + [0.0, 0.0, np.inf, 0.0], one, zero), "boxes must be finite"),
+        ((unit, np.array([np.nan]), zero), "scores must be finite"),
+        ((unit, one, np.array([-1])), "classes must be non-negative"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Detections(*args)
