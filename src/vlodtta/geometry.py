@@ -43,6 +43,10 @@ class Detection:
     score: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.box, Box):
+            raise ValueError(f"box must be a Box, not {type(self.box).__name__}")
+        if not isinstance(self.class_id, int) or isinstance(self.class_id, bool):
+            raise ValueError(f"class_id must be an integer: {self.class_id!r}")
         if not math.isfinite(self.score):
             raise ValueError(f"detection score must be finite: {self.score}")
         if self.class_id < 0:

@@ -5,6 +5,13 @@ exploits: dense same-class proposal clusters over each object, occasional
 small wrong-class distractor clusters parked next to an object, diffuse
 background proposals, and a prompt pool in which a known subset points
 along the direction the domain shift drags features.
+
+A scene is generated in two phases: every random draw first, object by
+object in the order of the scene's stream, then the box, alpha and feature
+arithmetic for all of the scene's clusters at once. The split must change
+no draw and no rounding step: a scene is the same bytes as one made object
+by object, each object's draws and arithmetic in turn, which the tests keep
+as the reference.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroundTruth, PromptPool, ProposalSet, _check_fields
-from .geometry import Box, _pair_iou
+from .geometry import Box, _column_iou
 from .scoring import normalize_rows
 
 __all__ = [
@@ -39,6 +46,8 @@ _SHIFT_STREAM = 0xD1
 _ALPHA_FLOOR = 0.2          # feature signal share for the worst proposals
 _DISTRACTOR_ALPHA = 0.4     # reduced signal share for distractor proposals
 _OBJ_SIZE_FRAC = (0.12, 0.32)   # object box size as a fraction of the extent
+_MIX_BLOCK = 1 << 14            # feature values mixed per block (128 KB), so the mixing temporaries stay in cache
+_SIDES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])  # where a distractor sits
 
 
 def _generator(*key: int) -> np.random.Generator:
@@ -185,66 +194,44 @@ def gen_world(seed: int, cfg: SimConfig, shift: ShiftSpec) -> World:
     )
 
 
-def _random_boxes(g: np.random.Generator, n: int, width: float, height: float) -> np.ndarray:
-    """n boxes inside the extent as an (n, 4) array, from one draw of 4n uniforms.
+def _random_boxes(u: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """Boxes inside the extent as (4, n) x1, y1, x2, y2 columns, from an (n, 4) block of uniforms.
 
-    Each uniform maps to its range as low + (high - low) * u, the operations
-    Generator.uniform uses, so the boxes equal n rounds of four scalar
-    g.uniform calls (width, height, center x, center y) on the same stream.
+    `extent` is the (2, 1) column of width and height. Each uniform maps to
+    its range as low + (high - low) * u, the operations Generator.uniform
+    uses, so box i equals four scalar g.uniform calls (width, height,
+    center x, center y) on the stream that drew row i.
     """
-    u = g.random((n, 4))
     lo, hi = _OBJ_SIZE_FRAC
-    bw = (lo + (hi - lo) * u[:, 0]) * width
-    bh = (lo + (hi - lo) * u[:, 1]) * height
-    cx = bw / 2.0 + ((width - bw / 2.0) - bw / 2.0) * u[:, 2]
-    cy = bh / 2.0 + ((height - bh / 2.0) - bh / 2.0) * u[:, 3]
-    return np.stack([cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0], axis=1)
+    u = u.T
+    half = (lo + (hi - lo) * u[:2]) * extent / 2.0
+    center = half + ((extent - half) - half) * u[2:]
+    return np.concatenate([center - half, center + half])
 
 
-def _clamp(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Clip (n, 4) boxes into the extent, re-centering to a 1px sliver where clipping collapses a side."""
-    x1, y1 = np.maximum(0.0, boxes[:, 0]), np.maximum(0.0, boxes[:, 1])
-    x2, y2 = np.minimum(width, boxes[:, 2]), np.minimum(height, boxes[:, 3])
-    mid_x = np.minimum(np.maximum((x1 + x2) / 2.0, 0.5), width - 0.5)
-    mid_y = np.minimum(np.maximum((y1 + y2) / 2.0, 0.5), height - 0.5)
-    thin_x, thin_y = x2 - x1 < 1.0, y2 - y1 < 1.0
-    return np.stack(
-        [
-            np.where(thin_x, mid_x - 0.5, x1),
-            np.where(thin_y, mid_y - 0.5, y1),
-            np.where(thin_x, mid_x + 0.5, x2),
-            np.where(thin_y, mid_y + 0.5, y2),
-        ],
-        axis=1,
-    )
+def _clamp(boxes: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """Clip (4, n) box columns into the (2, 1) extent, re-centering to a 1px sliver where clipping collapses a side."""
+    lo, hi = np.maximum(0.0, boxes[:2]), np.minimum(extent, boxes[2:])
+    mid = np.minimum(np.maximum((lo + hi) / 2.0, 0.5), extent - 0.5)
+    thin = hi - lo < 1.0
+    return np.concatenate([np.where(thin, mid - 0.5, lo), np.where(thin, mid + 0.5, hi)])
 
 
-def _jittered_boxes(
-    g: np.random.Generator, base: Box, n: int, jitter: float, width: float, height: float
-) -> np.ndarray:
-    """n boxes around base; IoU with base shrinks as jitter grows."""
-    bw, bh = base.x2 - base.x1, base.y2 - base.y1
-    cx, cy = (base.x1 + base.x2) / 2.0, (base.y1 + base.y2) / 2.0
-    dx = g.normal(0.0, jitter * bw, n)
-    dy = g.normal(0.0, jitter * bh, n)
-    sw = bw * np.exp(g.normal(0.0, jitter, n))
-    sh = bh * np.exp(g.normal(0.0, jitter, n))
-    raw = np.stack(
-        [cx + dx - sw / 2.0, cy + dy - sh / 2.0, cx + dx + sw / 2.0, cy + dy + sh / 2.0], axis=1
-    )
-    return _clamp(raw, width, height)
+def _jittered_boxes(bases: np.ndarray, jitters: np.ndarray, z: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """One box around each base box, as (4, n) columns; its IoU with the base shrinks as its jitter grows.
 
-
-def _mixed_features(
-    g: np.random.Generator,
-    prototype: np.ndarray,
-    alphas: np.ndarray,
-    noise_scale: float,
-) -> np.ndarray:
-    """normalize(alpha * prototype + (1 - alpha) * noise_scale * unit noise)."""
-    noise = normalize_rows(g.standard_normal((alphas.size, prototype.size)))
-    raw = alphas[:, None] * prototype + (1.0 - alphas)[:, None] * noise_scale * noise
-    return normalize_rows(raw)
+    `bases` holds (4, n) box columns, `jitters` (n,) and `z` (4, n) standard
+    normals: x shift, y shift, log width and log height scale. The normals
+    of a cluster of n boxes are a (4, n) standard_normal block, which equals
+    four n-normal draws in a row, and Generator.normal(0.0, s) returns
+    0.0 + s * z, so a cluster's boxes equal four g.normal draws on the same
+    stream. The 0.0 + is left out: it only turns -0.0 into 0.0, which the
+    sums and exp below cannot tell apart.
+    """
+    size = bases[2:] - bases[:2]
+    center = (bases[:2] + bases[2:]) / 2.0 + jitters * size * z[:2]
+    half = size * np.exp(jitters * z[2:]) / 2.0
+    return _clamp(np.concatenate([center - half, center + half]), extent)
 
 
 def gen_scene_proposals(seed: int, world: World) -> tuple[ProposalSet, list[GroundTruth]]:
@@ -256,58 +243,89 @@ def gen_scene_proposals(seed: int, world: World) -> tuple[ProposalSet, list[Grou
     IoU against the ground-truth box, floored at 0.2. A distractor cluster
     copies a wrong class's shifted prototype at reduced alpha and sits next to
     its object. Background proposals are pure noise.
+
+    The scene is made in two phases. The draw phase makes every draw, object
+    by object in stream order: class, box uniforms, proposal count, then the
+    cluster's jitter normals and feature noise as one block; then the
+    distractor test and, if it passes, the distractor's class, count, side,
+    and normals and noise. After the last object come the background's
+    uniforms and noise. The arithmetic phase then computes the ground-truth
+    boxes, distractor anchors, jittered boxes, clamps and alphas once for the
+    whole scene, and mixes the features in place in blocks of rows, so a
+    scene makes about the same NumPy calls however many objects it has.
     """
     _check_fields({"seed": seed}, seed="int >= 0")
     cfg, shifted = world.cfg, world.shifted
     g = _generator(seed, _SCENE_STREAM)
-    width, height = float(cfg.extent[0]), float(cfg.extent[1])
     num_classes, d = cfg.num_classes, cfg.d
     noise_scale = cfg.feature_noise * world.shift.noise_factor()
 
-    gts: list[GroundTruth] = []
-    box_chunks: list[np.ndarray] = []
-    feat_chunks: list[np.ndarray] = []
-    n_objects = int(g.integers(cfg.objects_min, cfg.objects_max + 1))
-    for _ in range(n_objects):
+    classes, uniforms = [], []
+    clusters = []  # (object, side or -1 for the object's own cluster, class, size), in row order
+    normals, noise = [], []
+
+    def cluster(obj: int, side: int, label: int, n: int) -> None:
+        draw = g.standard_normal(n * (4 + d))
+        clusters.append((obj, side, label, n))
+        normals.append(draw[: 4 * n].reshape(4, n))
+        noise.append(draw[4 * n :].reshape(n, d))
+
+    for obj in range(int(g.integers(cfg.objects_min, cfg.objects_max + 1))):
         cls = int(g.integers(num_classes))
-        gt_row = _random_boxes(g, 1, width, height)[0]
-        gt_box = Box(*gt_row.tolist())
-        gts.append(GroundTruth(box=gt_box, class_id=cls))
-        n_prop = int(g.integers(cfg.proposals_min, cfg.proposals_max + 1))
-        boxes = _jittered_boxes(g, gt_box, n_prop, cfg.jitter, width, height)
-        alphas = np.maximum(_ALPHA_FLOOR, np.minimum(_pair_iou(gt_row, boxes), 1.0))
-        box_chunks.append(boxes)
-        feat_chunks.append(_mixed_features(g, shifted[cls], alphas, noise_scale))
+        classes.append(cls)
+        uniforms.append(g.random((1, 4)))
+        cluster(obj, -1, cls, int(g.integers(cfg.proposals_min, cfg.proposals_max + 1)))
         if g.random() < cfg.distractor_prob:
             wrong = (cls + 1 + int(g.integers(num_classes - 1))) % num_classes
             n_dis = int(g.integers(cfg.distractor_min, cfg.distractor_max + 1))
-            bw, bh = gt_box.x2 - gt_box.x1, gt_box.y2 - gt_box.y1
-            side = g.choice(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
-            anchor = Box(
-                *_clamp(
-                    np.array([[
-                        gt_box.x1 + side[0] * 0.9 * bw,
-                        gt_box.y1 + side[1] * 0.9 * bh,
-                        gt_box.x2 + side[0] * 0.9 * bw - side[0] * 0.3 * bw,
-                        gt_box.y2 + side[1] * 0.9 * bh - side[1] * 0.3 * bh,
-                    ]]),
-                    width,
-                    height,
-                )[0].tolist()
-            )
-            dis_boxes = _jittered_boxes(g, anchor, n_dis, cfg.jitter * 0.7, width, height)
-            dis_alphas = np.full(n_dis, _DISTRACTOR_ALPHA)
-            box_chunks.append(dis_boxes)
-            feat_chunks.append(_mixed_features(g, shifted[wrong], dis_alphas, noise_scale))
-    if cfg.background:
-        box_chunks.append(_random_boxes(g, cfg.background, width, height))
-        feat_chunks.append(normalize_rows(g.standard_normal((cfg.background, d))))
+            cluster(obj, int(g.integers(4)), wrong, n_dis)  # g.integers(4) is the draw g.choice makes over 4 sides
+    uniforms.append(g.random((cfg.background, 4)))
+    noise.append(g.standard_normal((cfg.background, d)))
 
+    extent = np.array(cfg.extent, dtype=float)[:, None]
+    corners = _random_boxes(np.concatenate(uniforms), extent)
+    owners, side, labels, counts = (np.array(column) for column in zip(*clusters))
+    near = side >= 0
+    bases = corners[:, owners]
+    if near.any():
+        # a distractor sits 0.9 of its object's size to one side, 0.3 smaller along that axis
+        obj = bases[:, near]
+        size = obj[2:] - obj[:2]
+        step = _SIDES[side[near]].T
+        shift = step * 0.9 * size
+        bases[:, near] = _clamp(np.concatenate([obj[:2] + shift, obj[2:] + shift - step * 0.3 * size]), extent)
+    bases = np.repeat(bases, counts, axis=1)
+    jitters = np.repeat(np.where(near, cfg.jitter * 0.7, cfg.jitter), counts)
+    boxes = _jittered_boxes(bases, jitters, np.concatenate(normals, axis=1), extent)
+    base_size, box_size = bases[2:] - bases[:2], boxes[2:] - boxes[:2]
+    iou = _column_iou(bases, base_size[0] * base_size[1], boxes, box_size[0] * box_size[1])
+    alphas = np.where(np.repeat(near, counts), _DISTRACTOR_ALPHA, np.maximum(_ALPHA_FLOOR, np.minimum(iou, 1.0)))
+
+    # every row's noise becomes unit noise; a cluster row then becomes
+    # normalize(alpha * prototype + (1 - alpha) * noise_scale * unit noise)
+    features = np.concatenate(noise)
+    signal_share = alphas[:, None]
+    noise_share = (1.0 - signal_share) * noise_scale
+    prototype = np.repeat(labels, counts)
+    block = max(1, _MIX_BLOCK // d)
+    for start in range(0, features.shape[0], block):
+        rows = slice(start, start + block)
+        unit = normalize_rows(features[rows])
+        mixed = unit[: max(0, alphas.size - start)]  # the block's cluster rows, if any
+        mixed *= noise_share[rows]
+        signal = shifted[prototype[rows]]
+        signal *= signal_share[rows]
+        mixed += signal
+        mixed[...] = normalize_rows(mixed)
+        features[rows] = unit
+
+    n_objects = len(classes)
     proposals = ProposalSet(
-        boxes=np.concatenate(box_chunks, axis=0),
-        features=np.concatenate(feat_chunks, axis=0),
+        boxes=np.concatenate([boxes, corners[:, n_objects:]], axis=1).T.copy(),
+        features=features,
         class_embeddings=world.class_embeddings,
     )
+    gts = [GroundTruth(box=Box(*row), class_id=cls) for row, cls in zip(corners[:, :n_objects].T.tolist(), classes)]
     return proposals, gts
 
 

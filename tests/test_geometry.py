@@ -79,6 +79,13 @@ def test_detection_rejects_bad_fields():
         Detection(box, -1, 0.5)
     with pytest.raises(ValueError):
         Detection(box, 0, float("nan"))
+    # the scalar form evaluate also takes holds its fields to GroundTruth's rule
+    for bad in ([0, 0, 1, 1], (0, 0, 1, 1), np.array([0.0, 0.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="^box must be a Box, not"):
+            Detection(bad, 0, 0.5)
+    for bad in (0.7, 0.0, True, np.int64(0), "0"):
+        with pytest.raises(ValueError, match="^class_id must be an integer: "):
+            Detection(box, bad, 0.5)
 
 
 def test_iou_identical_box_is_one():

@@ -14,6 +14,7 @@ import pytest
 from vlodtta.adapt import AdaptState, EpisodeConfig, fused_scores, run_baseline
 from vlodtta.evaluation import evaluate
 from vlodtta.geometry import Box, iou
+from vlodtta.scoring import normalize_rows
 from vlodtta.sim import (
     _OBJ_SIZE_FRAC,
     SEED_SCALE,
@@ -288,23 +289,25 @@ def test_array_box_draws_equal_the_scalar_loops_on_one_stream(extent):
     # the scene generator's pattern: a one-row draw, integer and normal draws
     # in between, jittered clusters, then a block of background boxes
     width, height = extent
+    column = np.array([[width], [height]])
     slivers = np.zeros(2, dtype=int)
     for seed in range(20):
         old, new = _stream(seed), _stream(seed)
         for jitter in (0.1, 3.0):
             want = _scalar_random_box(old, width, height)
-            got = _random_boxes(new, 1, width, height)[0].tolist()
+            got = _random_boxes(new.random((1, 4)), column)[:, 0].tolist()
             assert got == [want.x1, want.y1, want.x2, want.y2]
             assert old.integers(5, 60) == new.integers(5, 60)
             n = int(old.integers(1, 40))
             assert n == new.integers(1, 40)
-            boxes = _jittered_boxes(new, want, n, jitter, width, height)
+            bases = np.repeat(np.array(got)[:, None], n, axis=1)
+            boxes = _jittered_boxes(bases, np.full(n, jitter), new.standard_normal((4, n)), column).T
             np.testing.assert_array_equal(boxes, _scalar_jittered_boxes(old, want, n, jitter, width, height))
             slivers += np.isclose(boxes[:, 2:] - boxes[:, :2], 1.0, rtol=0.0, atol=1e-9).sum(axis=0)
         background = np.array([
             [b.x1, b.y1, b.x2, b.y2] for b in (_scalar_random_box(old, width, height) for _ in range(37))
         ])
-        np.testing.assert_array_equal(_random_boxes(new, 37, width, height), background)
+        np.testing.assert_array_equal(_random_boxes(new.random((37, 4)), column).T, background)
         assert old.random() == new.random()  # both streams are at the same point
     assert np.all(slivers > 0)  # high jitter took the 1px sliver branch on both axes
 
@@ -314,7 +317,7 @@ def test_array_clamp_equals_the_scalar_clamp_including_slivers():
     g = _stream(99)
     raw = np.sort(g.uniform(-200.0, 900.0, size=(4000, 4)).reshape(4000, 2, 2), axis=1)
     raw = raw.transpose(0, 2, 1).reshape(4000, 4)  # x1 <= x2 and y1 <= y2, often off the extent
-    got = _clamp(raw, width, height)
+    got = _clamp(raw.T, np.array([[width], [height]])).T
     want = np.array([_scalar_clamped(*row, width, height) for row in raw.tolist()])
     np.testing.assert_array_equal(got, want)
     # both axes took the 1px sliver branch somewhere, at the edges too
@@ -368,3 +371,81 @@ def test_make_suite_matches_recorded_digests(profile, magnitude):
     sim, base_seed, n_scenes = {"desk": (SIM, 3, 6), "coco": (COCO_SIM, 1, 2), "tiny": (TINY_SIM, 5, 4)}[profile]
     suite = make_suite(base_seed, n_scenes, sim, ShiftSpec(magnitude=magnitude, noise_amp=2.5, seed=2))
     assert _suite_digest(suite) == SUITE_SHA256[profile, magnitude]
+
+
+# -- the two-phase generator against the per-object one it replaced ------------- #
+
+def _reference_features(g, prototype, alphas, noise_scale):
+    noise = normalize_rows(g.standard_normal((alphas.size, prototype.size)))
+    return normalize_rows(alphas[:, None] * prototype + (1.0 - alphas)[:, None] * noise_scale * noise)
+
+
+def _reference_scene(seed, world):
+    """One scene made object by object, each object's draws and arithmetic in turn, with the scalar box loops."""
+    cfg, shifted = world.cfg, world.shifted
+    g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x5C))))
+    width, height = float(cfg.extent[0]), float(cfg.extent[1])
+    noise_scale = cfg.feature_noise * world.shift.noise_factor()
+    gts, box_chunks, feat_chunks = [], [], []
+    distractors = 0
+    for _ in range(int(g.integers(cfg.objects_min, cfg.objects_max + 1))):
+        cls = int(g.integers(cfg.num_classes))
+        gt_box = _scalar_random_box(g, width, height)
+        gts.append((gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y2, cls))
+        n_prop = int(g.integers(cfg.proposals_min, cfg.proposals_max + 1))
+        boxes = _scalar_jittered_boxes(g, gt_box, n_prop, cfg.jitter, width, height)
+        alphas = np.array([max(0.2, min(iou(gt_box, Box(*row)), 1.0)) for row in boxes.tolist()])
+        box_chunks.append(boxes)
+        feat_chunks.append(_reference_features(g, shifted[cls], alphas, noise_scale))
+        if g.random() < cfg.distractor_prob:
+            distractors += 1
+            wrong = (cls + 1 + int(g.integers(cfg.num_classes - 1))) % cfg.num_classes
+            n_dis = int(g.integers(cfg.distractor_min, cfg.distractor_max + 1))
+            bw, bh = gt_box.x2 - gt_box.x1, gt_box.y2 - gt_box.y1
+            side = g.choice(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+            anchor = Box(*_scalar_clamped(
+                gt_box.x1 + side[0] * 0.9 * bw,
+                gt_box.y1 + side[1] * 0.9 * bh,
+                gt_box.x2 + side[0] * 0.9 * bw - side[0] * 0.3 * bw,
+                gt_box.y2 + side[1] * 0.9 * bh - side[1] * 0.3 * bh,
+                width, height,
+            ))
+            box_chunks.append(_scalar_jittered_boxes(g, anchor, n_dis, cfg.jitter * 0.7, width, height))
+            feat_chunks.append(_reference_features(g, shifted[wrong], np.full(n_dis, 0.4), noise_scale))
+    if cfg.background:
+        box_chunks.append(np.array([
+            [b.x1, b.y1, b.x2, b.y2] for b in (_scalar_random_box(g, width, height) for _ in range(cfg.background))
+        ]))
+        feat_chunks.append(normalize_rows(g.standard_normal((cfg.background, cfg.d))))
+    return np.concatenate(box_chunks), np.concatenate(feat_chunks), gts, distractors
+
+
+EDGE_PROFILES = {
+    "desk": SIM,
+    "slivers": SimConfig(jitter=3.0),
+    "distractors": SimConfig(distractor_prob=1.0),
+    "small_extent": SimConfig(extent=(17, 16), distractor_prob=0.5),
+    "no_background": SimConfig(background=0),
+    "one_proposal": SimConfig(
+        proposals_min=1, proposals_max=1, distractor_min=1, distractor_max=1, distractor_prob=0.5
+    ),
+    "still": SimConfig(feature_noise=0.0, jitter=0.0, distractor_prob=0.5),
+    "coco": COCO_SIM,
+}
+
+
+@pytest.mark.parametrize("profile", sorted(EDGE_PROFILES))
+def test_scenes_equal_the_per_object_reference_byte_for_byte(profile):
+    sim = EDGE_PROFILES[profile]
+    world = gen_world(4, sim, ShiftSpec(magnitude=0.5, noise_amp=2.5, seed=2))
+    distractors = 0
+    for seed in range(8 if profile == "coco" else 48):
+        proposals, gts = gen_scene_proposals(seed, world)
+        boxes, features, want, n_distractors = _reference_scene(seed, world)
+        for got, ref in ((proposals.boxes, boxes), (proposals.features, features)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        got = [(gt.box.x1, gt.box.y1, gt.box.x2, gt.box.y2, gt.class_id) for gt in gts]
+        assert got == want and all(type(c) is float for row in got for c in row[:4])
+        distractors += n_distractors
+    assert distractors > 0  # the anchor arithmetic ran
