@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -135,20 +135,60 @@ def fused_scores(
     return grad.forward(proposals, pool, phi, delta, cfg.lam, selections, cfg.rho, reuse)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeTrace:
     """What one episode did; `to_dict` gives it in JSON-ready form. `grad_norms == {}`
     means that no objective was computed (no proposals, or lr = 0), so loss and
-    clusters are 0. `detections` is the episode's `Detections` record."""
+    clusters are 0. `detections` is the episode's `Detections` record.
+
+    `loss` and `detections` are stored. `grad_norms`, `selections`,
+    `cluster_count`, `cluster_sizes`, `pre_score_range` and
+    `post_score_range` are computed on first read from what the episode
+    held: its gradients, its pre and post fused scores and selection, and
+    its overlap graph, which the first read of a cluster field builds if
+    the episode did not. A kept trace holds these until it is dropped.
+    Traces compare by `to_dict`.
+    """
 
     loss: float
-    grad_norms: dict[str, float]
-    selections: tuple[tuple[int, ...], ...]
-    cluster_count: int
-    cluster_sizes: dict[int, int]               # size -> number of components
-    pre_score_range: tuple[float, float]
-    post_score_range: tuple[float, float]
     detections: Detections
+    fused: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # pre and post pass
+    chosen: np.ndarray | None = field(default=None, repr=False)  # (K, n_sel) prompt selection
+    grads: grad.Gradients | None = field(default=None, repr=False)
+    graph: Callable[[], cluster.ClusterAssignment] | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def grad_norms(self) -> dict[str, float]:
+        return {} if self.grads is None else self.grads.norms()
+
+    @functools.cached_property
+    def selections(self) -> tuple[tuple[int, ...], ...]:
+        return () if self.chosen is None else tuple(map(tuple, self.chosen.tolist()))
+
+    @functools.cached_property
+    def cluster_sizes(self) -> dict[int, int]:
+        """Component size -> number of components."""
+        if self.graph is None:
+            return {}
+        assignment = self.graph()
+        _, first = np.unique(assignment.component_id, return_index=True)
+        sizes, counts = np.unique(assignment.component_size[first], return_counts=True)
+        return dict(zip(sizes.tolist(), counts.tolist()))
+
+    @property
+    def cluster_count(self) -> int:
+        return sum(self.cluster_sizes.values())
+
+    @functools.cached_property
+    def pre_score_range(self) -> tuple[float, float]:
+        return (0.0, 0.0) if self.fused is None else (float(self.fused[0].min()), float(self.fused[0].max()))
+
+    @functools.cached_property
+    def post_score_range(self) -> tuple[float, float]:
+        return (0.0, 0.0) if self.fused is None else (float(self.fused[1].min()), float(self.fused[1].max()))
+
+    def __eq__(self, other: object) -> bool:
+        return self.to_dict() == other.to_dict() if isinstance(other, EpisodeTrace) else NotImplemented
 
     def to_dict(self) -> dict[str, Any]:
         dets = self.detections
@@ -181,13 +221,6 @@ def _predict(
     return Detections(boxes[kept], conf[kept], labels[kept])
 
 
-def _empty_trace() -> EpisodeTrace:
-    return EpisodeTrace(
-        loss=0.0, grad_norms={}, selections=(), cluster_count=0, cluster_sizes={},
-        pre_score_range=(0.0, 0.0), post_score_range=(0.0, 0.0), detections=Detections.empty(),
-    )
-
-
 @functools.lru_cache(maxsize=16)
 def _fresh_state(d: int, reduction: int) -> AdaptState:
     """`AdaptState.zero_init(d, reduction)`, where every episode starts: drawn
@@ -196,20 +229,6 @@ def _fresh_state(d: int, reduction: int) -> AdaptState:
     for a in (*vars(state.phi).values(), state.delta):
         a.flags.writeable = False
     return state
-
-
-def _trace(pre, post, detections, loss, grad_norms, cluster_sizes) -> EpisodeTrace:
-    """The trace of an episode that scored `pre`, predicted from `post` and found these clusters."""
-    return EpisodeTrace(
-        loss=loss,
-        grad_norms=grad_norms,
-        selections=tuple(map(tuple, pre.selections.tolist())),
-        cluster_count=sum(cluster_sizes.values()),
-        cluster_sizes=cluster_sizes,
-        pre_score_range=(float(pre.fused.min()), float(pre.fused.max())),
-        post_score_range=(float(post.fused.min()), float(post.fused.max())),
-        detections=detections,
-    )
 
 
 def _component_table(
@@ -252,6 +271,11 @@ def adapt_episode(
     a zero-size step (lr = 0) predicts from the pre pass and computes no
     objective. Passing a dict as `details` fills it with the full
     intermediate arrays (only pre, post and components when lr = 0).
+    The trace computes its derived fields on read (`EpisodeTrace`), so a
+    caller that drops it pays for none of them. The overlap graph of the
+    kept rows is built once, when first asked for: by the entropy weights
+    at gamma != 0 (at gamma = 0 every weight is 1), by `details` or by the
+    trace's cluster fields.
 
     The pre pass and the overlap list of the image's boxes
     (`geometry.OverlapList`), which clustering and NMS read, come from a
@@ -259,7 +283,7 @@ def adapt_episode(
     with bit-identical results, or else one built for this episode alone.
     """
     if proposals.n == 0:
-        trace = _empty_trace()
+        trace = EpisodeTrace(loss=0.0, detections=Detections.empty())
         return trace.detections, trace
 
     work = shared if shared is not None else SceneWork(proposals, pool, [cfg])
@@ -269,12 +293,14 @@ def adapt_episode(
         detections = _predict(pre.fused, proposals.boxes, cfg, overlaps)
         if details is not None:
             details.update(pre=pre, post=pre, components=[])
-        return detections, _trace(pre, pre, detections, loss=0.0, grad_norms={}, cluster_sizes={})
+        return detections, EpisodeTrace(0.0, detections, (pre.fused, pre.fused), pre.selections)
 
     kept = geometry.top_m_filter(pre.fused, cfg.top_m)
-    classes = cluster.predicted_classes(pre.fused[kept])
-    assignment = cluster.build_class_graphs(proposals.boxes[kept], classes, cfg.theta, overlaps=overlaps.take(kept))
-    weights = cluster.cluster_weights(assignment, cfg.gamma)
+    graph = functools.cache(lambda: cluster.build_class_graphs(
+        proposals.boxes[kept], cluster.predicted_classes(pre.fused[kept]), cfg.theta, overlaps=overlaps.take(kept)
+    ))
+    # size ** 0.0 is exactly 1.0 for every size, so gamma = 0 needs no graph
+    weights = cluster.cluster_weights(graph(), cfg.gamma) if cfg.gamma != 0.0 else np.ones(kept.size)
     constants = grad.ObjectiveConstants(
         weights=weights, selections=pre.selections, kept=kept, lam=cfg.lam, kappa=cfg.kappa
     )
@@ -285,17 +311,13 @@ def adapt_episode(
     # so the step leaves them bit-identical and the post pass takes the pre pass's down-projection
     post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=pre)
     detections = _predict(post.fused, proposals.boxes, cfg, overlaps)
-
-    _, first = np.unique(assignment.component_id, return_index=True)
-    sizes, counts = np.unique(assignment.component_size[first], return_counts=True)
-    trace = _trace(pre, post, detections, loss, grads.norms(), dict(zip(sizes.tolist(), counts.tolist())))
     if details is not None:
         details.update(
-            pre=pre, post=post, kept=kept, assignment=assignment,
+            pre=pre, post=post, kept=kept, assignment=graph(),
             weights=weights, grads=grads,
-            components=_component_table(assignment, pre.fused[kept]),
+            components=_component_table(graph(), pre.fused[kept]),
         )
-    return detections, trace
+    return detections, EpisodeTrace(loss, detections, (pre.fused, post.fused), pre.selections, grads, graph)
 
 
 def baseline_config(kind: str, cfg: EpisodeConfig) -> EpisodeConfig:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,6 +144,8 @@ class ProposalSet:
     boxes: np.ndarray             # (N, 4) as x1, y1, x2, y2
     features: np.ndarray          # (N, d)
     class_embeddings: np.ndarray  # (K, d)
+    # (N,) squared feature norms, computed here once for every scoring pass; neither given nor compared
+    feature_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_arrays(vars(self), "boxes", "features", "class_embeddings")
@@ -157,10 +159,15 @@ class ProposalSet:
         for arr in (b, v, t):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("arrays must be finite")
-        for arr, what in ((v, "feature row {}"), (t, "class {} embedding")):
-            zero = _first_zero_row(arr)
-            if zero is not None:
-                raise NearZeroRow(f"{what.format(zero[0])} has norm <= {EPS}")
+        sq = np.einsum("ij,ij->i", v, v)
+        sq.flags.writeable = False
+        object.__setattr__(self, "feature_sq", sq)
+        small = np.sqrt(sq) <= EPS
+        if small.any():
+            raise NearZeroRow(f"feature row {int(np.argmax(small))} has norm <= {EPS}")
+        zero = _first_zero_row(t)
+        if zero is not None:
+            raise NearZeroRow(f"class {zero[0]} embedding has norm <= {EPS}")
         if b.shape[0] and not (np.all(b[:, 0] < b[:, 2]) and np.all(b[:, 1] < b[:, 3])):
             raise ValueError("every box needs x1 < x2 and y1 < y2")
 

@@ -278,9 +278,9 @@ def nms(
         raise ValueError(f"an overlap list read at {len(overlaps)} rows for {scores.size} boxes")
     order = np.lexsort((np.arange(scores.size), -scores))
     ii, jj, _ = overlaps.take(order).pairs(classes[order], iou_thresh)
-    by_src = np.argsort(ii, kind="stable")
-    dst = jj[by_src]
-    ptr = np.searchsorted(ii[by_src], np.arange(scores.size + 1)).tolist()
+    # blocking is a set update, so the order of one source's neighbours does not matter
+    dst = jj[np.argsort(ii)]
+    ptr = [0, *np.cumsum(np.bincount(ii, minlength=scores.size)).tolist()]
     blocked = np.zeros(scores.size, dtype=bool)
     kept: list[int] = []
     for r in range(scores.size):

@@ -170,12 +170,12 @@ class Forward:
     pre: np.ndarray            # (N, h) pre-GELU activations
     hidden: np.ndarray         # (N, h)
     phi: "AdapterParams"       # the adapter of the pass
-    feature_sq: np.ndarray     # (N,) |v|^2
     feature_class: np.ndarray  # (N, K) v @ class_dirs.T
     feature_up: np.ndarray     # (N, r) v @ U.T, U from `_up_factors`
     feature_norms: np.ndarray  # (N, 1) |a|
     class_dirs: np.ndarray     # (K, d)
     selections: np.ndarray     # (K, n_sel) selected prompt indices
+    prompt_rows: np.ndarray    # (K, n_sel) rows k * T + t of the flat bank, ascending per class
     unit_prompts: np.ndarray   # (K, n_sel, d) selected prompts plus delta, normalized, ascending per class
     prompt_norms: np.ndarray   # (K, n_sel, 1)
     mean_dirs: np.ndarray      # (K, d) each class's mean unit prompt (not unit length)
@@ -240,25 +240,27 @@ def forward(
 
     When selections is None each class keeps its ceil(rho * T) prompts of
     highest image compatibility, taken from the mean unit adapted row of
-    this pass; passing an array reuses a frozen choice. Each class's mean
+    this pass; passing an array reuses a frozen choice, which is validated
+    unless it is `reuse.selections`. Each class's mean
     unit selected prompt is scored once: neither the (N, K, T) tensor over
     the whole bank nor an (N, K * n_sel) one is built here, and no (N, d)
     array either (see `Forward`). `reuse` is an earlier pass over the same
-    proposals under the same W_down and b_down: its `pre`, `hidden`,
-    `class_dirs`, `feature_sq` and `feature_class` are taken as they are.
+    proposals and bank under the same W_down and b_down: its `pre`, `hidden`,
+    `class_dirs` and `feature_class` are taken as they are, and its
+    `prompt_rows` when `selections is reuse.selections`.
     """
     v = proposals.features
     bank = pool.embeddings
     delta = np.array(delta, dtype=float)
     if bank.shape[2] != v.shape[1] or delta.shape != (bank.shape[2],):
         raise ValueError(f"incompatible shapes {v.shape}, {bank.shape}, {delta.shape}")
+    feature_sq = proposals.feature_sq
     if reuse is None:
         pre, hidden = _down(v, phi)
         class_dirs = scoring.normalize_rows(proposals.class_embeddings)
-        feature_sq, feature_class = _rowdot(v, v), v @ class_dirs.T
+        feature_class = v @ class_dirs.T
     else:
-        pre, hidden, class_dirs = reuse.pre, reuse.hidden, reuse.class_dirs
-        feature_sq, feature_class = reuse.feature_sq, reuse.feature_class
+        pre, hidden, class_dirs, feature_class = reuse.pre, reuse.hidden, reuse.class_dirs, reuse.feature_class
 
     # |a|^2 = |v|^2 + 2 v.(L U) + |L U|^2, each from (N, r) products
     low, up = _up_factors(hidden, phi.w_up, phi.b_up)
@@ -293,13 +295,19 @@ def forward(
         mean_unit = total / v.shape[0]
         # prompt_compat averages the unit rows it is given: here the one mean row
         selections = scoring.select_prompts(scoring.prompt_compat(mean_unit[None], bank, delta), rho)
+        rows = scoring._prompt_rows(np.sort(selections, axis=-1), bank.shape[1])
+    elif reuse is not None and selections is reuse.selections:
+        rows = reuse.prompt_rows
+    else:
+        rows = scoring._prompt_rows(scoring._sorted_selection(selections, *bank.shape[:2]), bank.shape[1])
     # the gather is a fresh array: shift and normalize it in place, it becomes the unit prompts
-    unit_prompts = scoring.selected_prompts(bank, selections)
+    unit_prompts = scoring._take_prompts(bank, rows)
     unit_prompts += delta
-    prompt_norms = np.linalg.norm(unit_prompts, axis=-1, keepdims=True)
+    # np.linalg.norm's operations, without its conj() copy
+    prompt_norms = np.sqrt(np.add.reduce(unit_prompts * unit_prompts, axis=-1, keepdims=True))
     if np.any(prompt_norms <= scoring.EPS):
         k, s = np.argwhere(prompt_norms[..., 0] <= scoring.EPS)[0]
-        t = np.sort(selections[k])[s]  # the gather runs in ascending prompt order
+        t = rows[k, s] - k * bank.shape[1]
         raise scoring.NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {scoring.EPS}")
     unit_prompts /= prompt_norms
     mean_dirs = unit_prompts.mean(axis=1)
@@ -318,9 +326,8 @@ def forward(
     base = cosines(feature_class, class_dirs)
     pooled = cosines(v @ mean_dirs.T, mean_dirs)
     return Forward(
-        features=v, pre=pre, hidden=hidden, phi=phi, feature_sq=feature_sq,
-        feature_class=feature_class, feature_up=feature_up, feature_norms=feature_norms,
-        class_dirs=class_dirs, selections=selections, unit_prompts=unit_prompts,
+        features=v, pre=pre, hidden=hidden, phi=phi, feature_class=feature_class,
+        feature_up=feature_up, feature_norms=feature_norms, class_dirs=class_dirs, selections=selections, prompt_rows=rows, unit_prompts=unit_prompts,
         prompt_norms=prompt_norms, mean_dirs=mean_dirs, base=base, pooled=pooled,
         fused=scoring.fuse(pooled, base, lam), delta=delta, lam=lam,
     )

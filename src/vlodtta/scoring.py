@@ -177,13 +177,24 @@ def _sorted_selection(selections: np.ndarray, num_classes: int, pool_size: int) 
     return sorted_sel
 
 
+def _prompt_rows(sorted_sel: np.ndarray, pool_size: int) -> np.ndarray:
+    """Rows k * T + t of the flat (K * T, d) bank for each class's selected prompts t."""
+    return sorted_sel + pool_size * np.arange(sorted_sel.shape[0])[:, None]
+
+
+def _take_prompts(pool: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (K, n_sel, d) prompts at flat bank rows (K, n_sel): one fresh float array."""
+    e = np.asarray(pool, dtype=float)
+    return e.reshape(-1, e.shape[2]).take(rows, axis=0)
+
+
 def selected_prompts(pool: np.ndarray, selections: np.ndarray) -> np.ndarray:
     """Each class's selected prompt embeddings, shape (K, n_sel, d), in ascending index order."""
     e = np.asarray(pool, dtype=float)
     if e.ndim != 3:
         raise ValueError(f"pool must be (K, T, d): {e.shape}")
     sorted_sel = _sorted_selection(selections, e.shape[0], e.shape[1])
-    return e[np.arange(e.shape[0])[:, None], sorted_sel]
+    return _take_prompts(e, _prompt_rows(sorted_sel, e.shape[1]))
 
 
 def aggregate_selected(z: np.ndarray, selections: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vlodtta.adapt
+import vlodtta.cli
 import vlodtta.cluster
 import vlodtta.geometry
 import vlodtta.grad
@@ -269,7 +270,8 @@ def test_constants_frozen_one_call_each(monkeypatch):
 )
 def test_zero_step_episodes_stop_after_scoring(monkeypatch, method, calls):
     # a zero-step episode needs the pre pass, the score threshold and NMS
-    # only: it never filters, clusters or differentiates
+    # only: it never filters, clusters or differentiates. At gamma = 0
+    # (entropy_adapter) every weight is 1, so the step builds no graph either
     counts = {}
     for module, name in (
         (vlodtta.geometry, "top_m_filter"),
@@ -290,7 +292,56 @@ def test_zero_step_episodes_stop_after_scoring(monkeypatch, method, calls):
         adapt_episode(proposals, world.pool, CFG)
     else:
         run_baseline(method, proposals, world.pool, CFG)
-    assert counts == dict.fromkeys(counts, calls)
+    assert counts == {**dict.fromkeys(counts, calls), "build_class_graphs": calls if method == "full" else 0}
+
+
+def test_a_gamma_zero_trace_builds_the_graph_once_when_read(monkeypatch):
+    built = []
+    real = vlodtta.cluster.build_class_graphs
+
+    def counting(*a, **k):
+        built.append(real(*a, **k))
+        return built[-1]
+
+    monkeypatch.setattr(vlodtta.cluster, "build_class_graphs", counting)
+    world, proposals, _ = _scene(seed=11)
+    cfg = baseline_config("entropy_adapter", CFG)
+    details = {}
+    adapt_episode(proposals, world.pool, cfg, details=details)
+    assert len(built) == 1 and details["assignment"] is built[0]  # details asks once for both its fields
+    built.clear()
+    _, trace = adapt_episode(proposals, world.pool, cfg)
+    assert built == []
+    sizes = trace.cluster_sizes
+    assert len(built) == 1
+    assert trace.cluster_sizes is sizes and trace.cluster_count == sum(sizes.values()) and len(built) == 1
+    kept = details["kept"]
+    want = real(proposals.boxes[kept], vlodtta.cluster.predicted_classes(details["pre"].fused[kept]), cfg.theta)
+    _, first = np.unique(want.component_id, return_index=True)
+    assert sizes == dict(zip(*(v.tolist() for v in np.unique(want.component_size[first], return_counts=True))))
+    assert trace == adapt_episode(proposals, world.pool, cfg, details={})[1]
+
+
+def test_trace_fields_are_computed_on_read(monkeypatch):
+    calls = []
+    real = vlodtta.grad.Gradients.norms
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(vlodtta.grad.Gradients, "norms", counting)
+    world, proposals, _ = _scene(seed=5)
+    _, trace = adapt_episode(proposals, world.pool, CFG)
+    assert calls == []
+    norms = trace.grad_norms
+    assert trace.grad_norms is norms and len(calls) == 1
+    assert set(norms) == {"w_down", "b_down", "w_up", "b_up", "delta"}
+    calls.clear()
+    suite = make_suite(2, 3, SimConfig(), ShiftSpec(magnitude=0.5))
+    cfgs = [CFG, *(baseline_config(kind, CFG) for kind in ("zero_shot", "entropy_adapter", "prompt_average"))]
+    reports = vlodtta.cli._suite_reports(cfgs, suite, measure_time=False)
+    assert len(reports) == 4 and calls == []
 
 
 def test_episode_trace_contents():
