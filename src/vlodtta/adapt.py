@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -137,25 +138,50 @@ def fused_scores(
 
 @dataclass(frozen=True, eq=False)
 class EpisodeTrace:
-    """What one episode did; `to_dict` gives it in JSON-ready form. `grad_norms == {}`
-    means that no objective was computed (no proposals, or lr = 0), so loss and
-    clusters are 0. `detections` is the episode's `Detections` record.
+    """The one record of an episode; `to_dict` gives it in JSON-ready form.
 
-    `loss` and `detections` are stored. `grad_norms`, `selections`,
-    `cluster_count`, `cluster_sizes`, `pre_score_range` and
-    `post_score_range` are computed on first read from what the episode
-    held: its gradients, its pre and post fused scores and selection, and
-    its overlap graph, which the first read of a cluster field builds if
-    the episode did not. A kept trace holds these until it is dropped.
+    Stored: `loss`, the `detections` record, the pre and post
+    `grad.Forward` passes, the top-M rows `kept`, their `weights`, the
+    step's `grads`, and the image's `boxes`, `overlaps` list and `theta`,
+    which the kept rows' overlap graph is built from. At lr = 0, `post is
+    pre` and the rest is None; an empty episode has no passes either.
+    Derived on first read: `assignment` (the graph; at gamma != 0 the one
+    the weights came from), `components`, `cluster_sizes`,
+    `cluster_count`, `grad_norms`, `selections` and both score ranges.
     Traces compare by `to_dict`.
     """
 
     loss: float
     detections: Detections
-    fused: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # pre and post pass
-    chosen: np.ndarray | None = field(default=None, repr=False)  # (K, n_sel) prompt selection
+    pre: grad.Forward | None = field(default=None, repr=False)
+    post: grad.Forward | None = field(default=None, repr=False)
+    kept: np.ndarray | None = field(default=None, repr=False)
+    weights: np.ndarray | None = field(default=None, repr=False)
     grads: grad.Gradients | None = field(default=None, repr=False)
-    graph: Callable[[], cluster.ClusterAssignment] | None = field(default=None, repr=False)
+    boxes: np.ndarray | None = field(default=None, repr=False)
+    overlaps: geometry.OverlapList | None = field(default=None, repr=False)
+    theta: float | None = None
+
+    @functools.cached_property
+    def assignment(self) -> cluster.ClusterAssignment | None:
+        return None if self.kept is None else _kept_graph(self.pre, self.kept, self.boxes, self.overlaps, self.theta)
+
+    @functools.cached_property
+    def components(self) -> list[dict[str, Any]]:
+        """One row per component: class, size, max fused score among members."""
+        if self.assignment is None:
+            return []
+        a, fused = self.assignment, self.pre.fused[self.kept]
+        rows = [
+            {
+                "class_id": int(a.classes[root]),
+                "size": int(a.component_size[root]),
+                "max_score": float(fused[a.component_id == root].max()),
+            }
+            for root in np.unique(a.component_id)  # a component's id is its smallest member index
+        ]
+        rows.sort(key=lambda r: (-r["size"], r["class_id"], -r["max_score"]))
+        return rows
 
     @functools.cached_property
     def grad_norms(self) -> dict[str, float]:
@@ -163,17 +189,12 @@ class EpisodeTrace:
 
     @functools.cached_property
     def selections(self) -> tuple[tuple[int, ...], ...]:
-        return () if self.chosen is None else tuple(map(tuple, self.chosen.tolist()))
+        return () if self.pre is None else tuple(map(tuple, self.pre.selections.tolist()))
 
     @functools.cached_property
     def cluster_sizes(self) -> dict[int, int]:
         """Component size -> number of components."""
-        if self.graph is None:
-            return {}
-        assignment = self.graph()
-        _, first = np.unique(assignment.component_id, return_index=True)
-        sizes, counts = np.unique(assignment.component_size[first], return_counts=True)
-        return dict(zip(sizes.tolist(), counts.tolist()))
+        return dict(sorted(Counter(row["size"] for row in self.components).items()))
 
     @property
     def cluster_count(self) -> int:
@@ -181,11 +202,11 @@ class EpisodeTrace:
 
     @functools.cached_property
     def pre_score_range(self) -> tuple[float, float]:
-        return (0.0, 0.0) if self.fused is None else (float(self.fused[0].min()), float(self.fused[0].max()))
+        return (0.0, 0.0) if self.pre is None else (float(self.pre.fused.min()), float(self.pre.fused.max()))
 
     @functools.cached_property
     def post_score_range(self) -> tuple[float, float]:
-        return (0.0, 0.0) if self.fused is None else (float(self.fused[1].min()), float(self.fused[1].max()))
+        return (0.0, 0.0) if self.post is None else (float(self.post.fused.min()), float(self.post.fused.max()))
 
     def __eq__(self, other: object) -> bool:
         return self.to_dict() == other.to_dict() if isinstance(other, EpisodeTrace) else NotImplemented
@@ -207,6 +228,15 @@ class EpisodeTrace:
                 )
             ],
         }
+
+
+def _kept_graph(
+    pre: grad.Forward, kept: np.ndarray, boxes: np.ndarray, overlaps: geometry.OverlapList, theta: float
+) -> cluster.ClusterAssignment:
+    """The IoU >= theta graph of the kept rows under their predicted classes."""
+    return cluster.build_class_graphs(
+        boxes[kept], cluster.predicted_classes(pre.fused[kept]), theta, overlaps=overlaps.take(kept)
+    )
 
 
 def _predict(
@@ -231,31 +261,8 @@ def _fresh_state(d: int, reduction: int) -> AdaptState:
     return state
 
 
-def _component_table(
-    assignment: cluster.ClusterAssignment, fused_kept: np.ndarray
-) -> list[dict[str, Any]]:
-    """One row per component: class, size, max fused score among members."""
-    rows = []
-    for comp in np.unique(assignment.component_id):
-        members = np.flatnonzero(assignment.component_id == comp)
-        rows.append(
-            {
-                "class_id": int(assignment.classes[members[0]]),
-                "size": int(assignment.component_size[members[0]]),
-                "max_score": float(fused_kept[members].max()),
-            }
-        )
-    rows.sort(key=lambda r: (-r["size"], r["class_id"], -r["max_score"]))
-    return rows
-
-
 def adapt_episode(
-    proposals: ProposalSet,
-    pool: PromptPool,
-    cfg: EpisodeConfig,
-    details: dict[str, Any] | None = None,
-    *,
-    shared: SceneWork | None = None,
+    proposals: ProposalSet, pool: PromptPool, cfg: EpisodeConfig, *, shared: SceneWork | None = None
 ) -> tuple[Detections, EpisodeTrace]:
     """Adapt on one image with a single gradient step, then predict.
 
@@ -265,17 +272,12 @@ def adapt_episode(
     `AdaptState.zero_init(d, reduction)`, drawn once per (d, reduction);
     the step returns new parameters that only the post pass reads, so no
     episode depends on the ones before it.
-    The detections come back as a `Detections` record of arrays, which the
-    trace holds too; `Detection` objects are built only when it is
-    iterated. An empty proposal set yields an empty record and no update;
-    a zero-size step (lr = 0) predicts from the pre pass and computes no
-    objective. Passing a dict as `details` fills it with the full
-    intermediate arrays (only pre, post and components when lr = 0).
-    The trace computes its derived fields on read (`EpisodeTrace`), so a
-    caller that drops it pays for none of them. The overlap graph of the
-    kept rows is built once, when first asked for: by the entropy weights
-    at gamma != 0 (at gamma = 0 every weight is 1), by `details` or by the
-    trace's cluster fields.
+    An empty proposal set yields no detections and no update; a zero-size
+    step (lr = 0) predicts from the pre pass and computes no objective.
+    The trace holds what the episode computed and derives the rest on
+    read (`EpisodeTrace`), so a caller that drops it pays for none of it;
+    the kept rows' overlap graph is built at most once, by the weights at
+    gamma != 0 (at gamma = 0 every weight is 1) or else by the trace.
 
     The pre pass and the overlap list of the image's boxes
     (`geometry.OverlapList`), which clustering and NMS read, come from a
@@ -291,16 +293,12 @@ def adapt_episode(
     if cfg.lr == 0.0:
         # phi and delta stay as they were: the post pass would recompute pre
         detections = _predict(pre.fused, proposals.boxes, cfg, overlaps)
-        if details is not None:
-            details.update(pre=pre, post=pre, components=[])
-        return detections, EpisodeTrace(0.0, detections, (pre.fused, pre.fused), pre.selections)
+        return detections, EpisodeTrace(0.0, detections, pre, pre)
 
     kept = geometry.top_m_filter(pre.fused, cfg.top_m)
-    graph = functools.cache(lambda: cluster.build_class_graphs(
-        proposals.boxes[kept], cluster.predicted_classes(pre.fused[kept]), cfg.theta, overlaps=overlaps.take(kept)
-    ))
     # size ** 0.0 is exactly 1.0 for every size, so gamma = 0 needs no graph
-    weights = cluster.cluster_weights(graph(), cfg.gamma) if cfg.gamma != 0.0 else np.ones(kept.size)
+    assignment = _kept_graph(pre, kept, proposals.boxes, overlaps, cfg.theta) if cfg.gamma != 0.0 else None
+    weights = np.ones(kept.size) if assignment is None else cluster.cluster_weights(assignment, cfg.gamma)
     constants = grad.ObjectiveConstants(
         weights=weights, selections=pre.selections, kept=kept, lam=cfg.lam, kappa=cfg.kappa
     )
@@ -311,13 +309,10 @@ def adapt_episode(
     # so the step leaves them bit-identical and the post pass takes the pre pass's down-projection
     post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=pre)
     detections = _predict(post.fused, proposals.boxes, cfg, overlaps)
-    if details is not None:
-        details.update(
-            pre=pre, post=post, kept=kept, assignment=graph(),
-            weights=weights, grads=grads,
-            components=_component_table(graph(), pre.fused[kept]),
-        )
-    return detections, EpisodeTrace(loss, detections, (pre.fused, post.fused), pre.selections, grads, graph)
+    trace = EpisodeTrace(loss, detections, pre, post, kept, weights, grads, proposals.boxes, overlaps, cfg.theta)
+    if assignment is not None:
+        object.__setattr__(trace, "assignment", assignment)  # the cached_property's slot: no second graph
+    return detections, trace
 
 
 def baseline_config(kind: str, cfg: EpisodeConfig) -> EpisodeConfig:
@@ -376,7 +371,8 @@ class SceneWork:
     ) -> tuple[grad.Forward, geometry.OverlapList]:
         """The pre pass and the overlap list of an episode on this image.
 
-        Raises ValueError for another image or prompt bank, or a config of another reduction.
+        Raises ValueError for another image or prompt bank, a config of another
+        reduction, or a theta or nms_iou below the overlap list's t0.
         """
         mine = self.proposals
         if not (
@@ -387,6 +383,9 @@ class SceneWork:
             raise ValueError("the shared work is of another image or prompt pool")
         if cfg.reduction != self.reduction:
             raise ValueError(f"the shared work serves reduction {self.reduction}, not {cfg.reduction}")
+        for name in ("theta", "nms_iou"):
+            if getattr(cfg, name) < self.t0:
+                raise ValueError(f"the shared work lists overlaps from t0 = {self.t0}, not {name} = {getattr(cfg, name)}")
         key = (cfg.rho, cfg.lam)
         if key not in self._passes:
             self._passes[key] = self._pre_pass(cfg)

@@ -188,6 +188,8 @@ def scene_to_json(proposals: ProposalSet, pool: PromptPool, gts: list[GroundTrut
     """Serialize one scene to the documented JSON layout."""
     if pool.num_classes != proposals.num_classes or pool.d != proposals.d:
         raise ValueError("prompt pool does not match the proposal set")
+    for gt in gts:  # what scene_from_json accepts back
+        _check_fields(vars(gt), class_id=f"int in [0, {proposals.num_classes - 1}]")
     return {
         "d": proposals.d,
         "K": proposals.num_classes,

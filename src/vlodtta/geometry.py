@@ -81,6 +81,8 @@ class Detections:
         for name in ("boxes", "scores"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        if not (self.boxes[:, :2] < self.boxes[:, 2:]).all():  # x1 < x2 and y1 < y2
+            raise ValueError("boxes must have x1 < x2 and y1 < y2 in every row")
         if (self.classes < 0).any():
             raise ValueError("classes must be non-negative")
         for name in ("boxes", "scores", "classes"):

@@ -456,13 +456,8 @@ def fd_check(
     # the differences perturb copies, so the caller's parameters are never written
     phi = replace(state.phi, **{f.name: getattr(state.phi, f.name).copy() for f in fields(state.phi)})
     state = replace(state, phi=phi, delta=state.delta.copy())
-    pairs = [
-        (state.phi.w_down, grads.w_down),
-        (state.phi.b_down, grads.b_down),
-        (state.phi.w_up, grads.w_up),
-        (state.phi.b_up, grads.b_up),
-        (state.delta, grads.delta),
-    ]
+    pairs = [(getattr(state.phi, f.name), getattr(grads, f.name)) for f in fields(state.phi)]
+    pairs.append((state.delta, grads.delta))
     worst = 0.0
     for values, analytic in pairs:
         flat = values.reshape(-1)

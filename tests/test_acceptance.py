@@ -130,27 +130,25 @@ def test_criterion_03_limit_settings_collapse_as_claimed(suites):
     pool = suite.world.pool
 
     # gamma = 0: the objective is the plain mean entropy of the kept set
-    details: dict = {}
-    _, trace = adapt_episode(proposals, pool, replace(EpisodeConfig(), gamma=0.0), details=details)
-    kept = details["kept"]
-    probs = scoring.posterior(details["pre"].fused[kept], EpisodeConfig().kappa)
+    _, trace = adapt_episode(proposals, pool, replace(EpisodeConfig(), gamma=0.0))
+    kept = trace.kept
+    probs = scoring.posterior(trace.pre.fused[kept], EpisodeConfig().kappa)
     gamma_gap = abs(trace.loss - float(scoring.entropy(probs).mean()))
 
     # theta = 0: within a predicted class everything joins one component
     assignment = build_class_graphs(
-        proposals.boxes[kept], details["assignment"].classes, 0.0
+        proposals.boxes[kept], trace.assignment.classes, 0.0
     )
     theta_ok = len(set(assignment.component_id.tolist())) == len(
         set(assignment.classes.tolist())
     )
 
     # lambda = 0: fusion returns the detector scores untouched
-    lam_details: dict = {}
-    adapt_episode(proposals, pool, replace(EpisodeConfig(), lam=0.0), details=lam_details)
-    lam_ok = np.array_equal(lam_details["pre"].fused, lam_details["pre"].base)
+    _, lam_trace = adapt_episode(proposals, pool, replace(EpisodeConfig(), lam=0.0))
+    lam_ok = np.array_equal(lam_trace.pre.fused, lam_trace.pre.base)
 
     # rho = 1: aggregation over the full selection is the all-prompt mean
-    z = scoring.prompt_scores(details["pre"].adapted, pool.embeddings, details["pre"].delta)
+    z = scoring.prompt_scores(trace.pre.adapted, pool.embeddings, trace.pre.delta)
     selections = scoring.select_prompts(scoring.image_prompt_compat(z), 1.0)
     rho_ok = np.array_equal(scoring.aggregate_selected(z, selections), z.mean(axis=-1))
 
@@ -237,9 +235,8 @@ def test_criterion_06_reset_and_reproducibility(suites, tmp_path):
     }
     resets = 0
     for proposals, _ in suite.scenes:
-        start: dict = {}
-        adapt_episode(proposals, suite.world.pool, ecfg, details=start)
-        phi, delta = start["pre"].phi, start["pre"].delta
+        _, start = adapt_episode(proposals, suite.world.pool, ecfg)
+        phi, delta = start.pre.phi, start.pre.delta
         resets += (
             phi.w_down.tobytes() == snapshot["w_down"]
             and phi.b_down.tobytes() == snapshot["b_down"]
@@ -249,12 +246,11 @@ def test_criterion_06_reset_and_reproducibility(suites, tmp_path):
         )
 
     # lr = 0 is a bit-for-bit no-op on the scores
-    frozen: dict = {}
     proposals = suite.scenes[0][0]
-    dets_a, _ = adapt_episode(proposals, suite.world.pool, replace(ecfg, lr=0.0), details=frozen)
+    dets_a, frozen = adapt_episode(proposals, suite.world.pool, replace(ecfg, lr=0.0))
     dets_b, _ = adapt_episode(proposals, suite.world.pool, replace(ecfg, lr=0.0))
     lr_ok = (
-        frozen["pre"].fused.tobytes() == frozen["post"].fused.tobytes()
+        frozen.pre.fused.tobytes() == frozen.post.fused.tobytes()
         and dets_a == dets_b
     )
 

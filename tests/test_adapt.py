@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -306,20 +307,20 @@ def test_a_gamma_zero_trace_builds_the_graph_once_when_read(monkeypatch):
     monkeypatch.setattr(vlodtta.cluster, "build_class_graphs", counting)
     world, proposals, _ = _scene(seed=11)
     cfg = baseline_config("entropy_adapter", CFG)
-    details = {}
-    adapt_episode(proposals, world.pool, cfg, details=details)
-    assert len(built) == 1 and details["assignment"] is built[0]  # details asks once for both its fields
+    _, read = adapt_episode(proposals, world.pool, cfg)
+    read.components
+    assert len(built) == 1 and read.assignment is built[0]  # one graph for both cluster fields
     built.clear()
     _, trace = adapt_episode(proposals, world.pool, cfg)
     assert built == []
     sizes = trace.cluster_sizes
     assert len(built) == 1
     assert trace.cluster_sizes is sizes and trace.cluster_count == sum(sizes.values()) and len(built) == 1
-    kept = details["kept"]
-    want = real(proposals.boxes[kept], vlodtta.cluster.predicted_classes(details["pre"].fused[kept]), cfg.theta)
+    kept = trace.kept
+    want = real(proposals.boxes[kept], vlodtta.cluster.predicted_classes(trace.pre.fused[kept]), cfg.theta)
     _, first = np.unique(want.component_id, return_index=True)
     assert sizes == dict(zip(*(v.tolist() for v in np.unique(want.component_size[first], return_counts=True))))
-    assert trace == adapt_episode(proposals, world.pool, cfg, details={})[1]
+    assert trace == read
 
 
 def test_trace_fields_are_computed_on_read(monkeypatch):
@@ -342,6 +343,25 @@ def test_trace_fields_are_computed_on_read(monkeypatch):
     cfgs = [CFG, *(baseline_config(kind, CFG) for kind in ("zero_shot", "entropy_adapter", "prompt_average"))]
     reports = vlodtta.cli._suite_reports(cfgs, suite, measure_time=False)
     assert len(reports) == 4 and calls == []
+
+
+@pytest.mark.parametrize("kind", ["full", "entropy_adapter", "zero_shot", "empty"])
+def test_traces_survive_a_pickle_round_trip_without_building_a_graph(kind, monkeypatch):
+    built = []
+    real = vlodtta.cluster.build_class_graphs
+    monkeypatch.setattr(vlodtta.cluster, "build_class_graphs", lambda *a, **k: built.append(a) or real(*a, **k))
+    world, proposals, _ = _scene(seed=11)
+    if kind == "empty":
+        proposals = ProposalSet(
+            boxes=np.zeros((0, 4)), features=np.zeros((0, proposals.d)), class_embeddings=proposals.class_embeddings
+        )
+    _, trace = adapt_episode(proposals, world.pool, CFG if kind in ("full", "empty") else baseline_config(kind, CFG))
+    episode = len(built)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert len(built) == episode  # pickling neither builds nor drops a graph
+    assert copy == trace  # compares by to_dict, which reads every cluster field
+    # each side builds at most one graph in all: the episode's, or its first cluster read's
+    assert len(built) == {"full": 1, "entropy_adapter": 2}.get(kind, 0)
 
 
 def test_episode_trace_contents():
@@ -392,31 +412,29 @@ def test_default_state_is_drawn_once_and_read_only():
         state.phi.w_down[0, 0] = 1.0
     # every episode starts from it, stepped or not
     for cfg in (CFG, replace(CFG, lr=0.0)):
-        details = {}
-        adapt_episode(proposals, world.pool, cfg, details=details)
-        assert details["pre"].phi is state.phi
-        assert details["pre"].delta.tobytes() == state.delta.tobytes()
+        _, trace = adapt_episode(proposals, world.pool, cfg)
+        assert trace.pre.phi is state.phi
+        assert trace.pre.delta.tobytes() == state.delta.tobytes()
 
 
-def test_episode_details_dict():
+def test_episode_trace_holds_every_intermediate():
     world, proposals, _ = _scene(seed=5)
-    details = {}
-    adapt_episode(proposals, world.pool, CFG, details=details)
-    assert set(details) == {"pre", "post", "kept", "assignment", "weights", "grads", "components"}
-    assert details["pre"].fused.shape == (proposals.n, world.pool.num_classes)
-    assert details["weights"].shape == details["kept"].shape
-    sizes = [row["size"] for row in details["components"]]
+    _, trace = adapt_episode(proposals, world.pool, CFG)
+    for name in ("pre", "post", "kept", "assignment", "weights", "grads", "components"):
+        assert getattr(trace, name) is not None, name
+    assert trace.pre.fused.shape == (proposals.n, world.pool.num_classes)
+    assert trace.weights.shape == trace.kept.shape
+    sizes = [row["size"] for row in trace.components]
     assert sizes == sorted(sizes, reverse=True)
-    assert all(set(row) == {"class_id", "size", "max_score"} for row in details["components"])
+    assert all(set(row) == {"class_id", "size", "max_score"} for row in trace.components)
 
 
 def test_coco_scale_components_and_nms_match_references():
     # 80 classes, and top_m cuts the proposals to 600: clustering and NMS
     # at the scale where most proposal pairs differ in class
     world, proposals, _ = _scene(sim=COCO_SIM)
-    details = {}
-    dets, _ = adapt_episode(proposals, world.pool, CFG, details=details)
-    kept, assignment = details["kept"], details["assignment"]
+    dets, trace = adapt_episode(proposals, world.pool, CFG)
+    kept, assignment = trace.kept, trace.assignment
     assert kept.size == CFG.top_m < proposals.n
     want_id = np.empty(kept.size, dtype=int)
     want_size = np.empty(kept.size, dtype=int)
@@ -428,7 +446,7 @@ def test_coco_scale_components_and_nms_match_references():
     np.testing.assert_array_equal(assignment.component_size, want_size)
     assert len(set(assignment.classes.tolist())) > 4
 
-    probs = posterior(details["post"].fused, CFG.kappa)
+    probs = posterior(trace.post.fused, CFG.kappa)
     conf, labels = probs.max(axis=-1), probs.argmax(axis=-1)
     candidates = [
         vlodtta.geometry.Detection(
@@ -443,10 +461,9 @@ def test_coco_scale_components_and_nms_match_references():
 
 def _stepped_states(world, proposals):
     """The zero-init state and the state after the episode's single step."""
-    details = {}
-    adapt_episode(proposals, world.pool, CFG, details=details)
+    _, trace = adapt_episode(proposals, world.pool, CFG)
     zero = AdaptState.zero_init(proposals.d, CFG.reduction)
-    return zero, zero.stepped(details["grads"], CFG.lr)
+    return zero, zero.stepped(trace.grads, CFG.lr)
 
 
 @pytest.mark.parametrize("sim,n_scenes", [(SimConfig(), 20), (COCO_SIM, 10)], ids=["desk", "coco"])
@@ -540,17 +557,16 @@ def test_a_stepped_episode_allocates_less_than_one_feature_array():
     for seed in range(3):
         proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
         adapt_episode(proposals, world.pool, cfg)  # draws the cached fresh state
-        details = {}
         tracemalloc.start()
         try:
-            _, trace = adapt_episode(proposals, world.pool, cfg, details=details)
+            _, trace = adapt_episode(proposals, world.pool, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert trace.grad_norms["w_up"] > 0.0
         assert peak < proposals.features.nbytes, (seed, peak, proposals.features.nbytes)
         for name in ("pre", "post"):
-            record = details[name]
+            record = getattr(trace, name)
             shapes = {f.name: np.shape(getattr(record, f.name)) for f in fields(record)}
             wide = [name for name, shape in shapes.items() if shape == proposals.features.shape]
             assert wide == ["features"], (name, wide)
@@ -561,18 +577,17 @@ def test_episode_objective_matches_forward_objective(sim):
     # the episode takes its loss and gradient from the pre pass, while
     # forward_objective runs a forward of its own over the same constants
     world, proposals, _ = _scene(seed=13, sim=sim)
-    details = {}
-    _, trace = adapt_episode(proposals, world.pool, CFG, details=details)
+    _, trace = adapt_episode(proposals, world.pool, CFG)
     constants = ObjectiveConstants(
-        weights=details["weights"], selections=details["pre"].selections,
-        kept=details["kept"], lam=CFG.lam, kappa=CFG.kappa,
+        weights=trace.weights, selections=trace.pre.selections,
+        kept=trace.kept, lam=CFG.lam, kappa=CFG.kappa,
     )
     state = AdaptState.zero_init(proposals.d, CFG.reduction)
     loss, saved = forward_objective(proposals, world.pool, state, constants)
     assert abs(trace.loss - loss) <= 1e-15
     want = backward(saved)
     for name in ("w_down", "b_down", "w_up", "b_up", "delta"):
-        got, ref = getattr(details["grads"], name), getattr(want, name)
+        got, ref = getattr(trace.grads, name), getattr(want, name)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
@@ -610,12 +625,12 @@ def test_zero_step_detections_ignore_power_of_two_feature_scaling(sim, seeds):
 
 def test_zero_step_episode_reuses_the_pre_pass():
     world, proposals, _ = _scene(seed=4)
-    details = {}
-    _, frozen = adapt_episode(proposals, world.pool, replace(CFG, lr=0.0), details=details)
-    assert details["post"] is details["pre"]
-    assert set(details) == {"pre", "post", "components"} and details["components"] == []
-    _, stepped = adapt_episode(proposals, world.pool, CFG, details=details)
-    assert details["post"] is not details["pre"]
+    _, frozen = adapt_episode(proposals, world.pool, replace(CFG, lr=0.0))
+    assert frozen.post is frozen.pre
+    assert all(getattr(frozen, name) is None for name in ("kept", "assignment", "weights", "grads"))
+    assert frozen.components == []
+    _, stepped = adapt_episode(proposals, world.pool, CFG)
+    assert stepped.post is not stepped.pre
     # a zero-size step ends after the pre pass: no objective, no gradient and
     # no clusters, reported as an empty episode reports them
     assert frozen.loss == 0.0 and frozen.grad_norms == {}
@@ -627,9 +642,8 @@ def test_zero_step_episode_reuses_the_pre_pass():
 
 def test_post_pass_reuses_frozen_selection():
     world, proposals, _ = _scene(seed=6)
-    details = {}
-    adapt_episode(proposals, world.pool, CFG, details=details)
-    np.testing.assert_array_equal(details["pre"].selections, details["post"].selections)
+    _, trace = adapt_episode(proposals, world.pool, CFG)
+    np.testing.assert_array_equal(trace.pre.selections, trace.post.selections)
 
 
 def _bits(a):
@@ -642,11 +656,10 @@ def test_post_pass_reuses_the_unchanged_down_projection(sim):
     # so the post pass takes the pre pass's pre-GELU, hidden and class
     # directions; they must be the bits a fresh computation gives
     world, proposals, _ = _scene(seed=8, sim=sim)
-    details = {}
-    adapt_episode(proposals, world.pool, CFG, details=details)
-    pre, post = details["pre"], details["post"]
+    _, trace = adapt_episode(proposals, world.pool, CFG)
+    pre, post = trace.pre, trace.post
     assert post.pre is pre.pre and post.hidden is pre.hidden and post.class_dirs is pre.class_dirs
-    new = AdaptState.zero_init(proposals.d, CFG.reduction).stepped(details["grads"], CFG.lr)
+    new = AdaptState.zero_init(proposals.d, CFG.reduction).stepped(trace.grads, CFG.lr)
     fresh_pre, fresh_hidden, fresh_adapted = vlodtta.grad.adapter(proposals.features, new.phi)
     assert np.array_equal(_bits(post.pre), _bits(fresh_pre))
     assert np.array_equal(_bits(post.hidden), _bits(fresh_hidden))
@@ -767,9 +780,8 @@ METHOD_CFGS = {
 
 def _episode_bits(proposals, pool, cfg, **kwargs):
     """Everything an episode returns and scores, as comparable bits."""
-    details = {}
-    dets, trace = adapt_episode(proposals, pool, cfg, details=details, **kwargs)
-    arrays = [dets.boxes, dets.scores, dets.classes, details["pre"].fused, details["post"].fused]
+    dets, trace = adapt_episode(proposals, pool, cfg, **kwargs)
+    arrays = [dets.boxes, dets.scores, dets.classes, trace.pre.fused, trace.post.fused]
     return [_bits(a).tolist() if a.dtype.kind == "f" else a.tolist() for a in arrays], trace.to_dict()
 
 
@@ -800,6 +812,20 @@ def test_shared_scene_work_rejects_other_images_states_and_thresholds():
     with pytest.raises(ValueError, match="t0"):
         adapt_episode(proposals, world.pool, replace(CFG, theta=0.3), shared=shared)
     assert _episode_bits(proposals, world.pool, CFG, shared=shared) == _episode_bits(proposals, world.pool, CFG)
+
+
+@pytest.mark.parametrize("name", ["theta", "nms_iou"])
+def test_scene_work_rejects_a_threshold_below_its_t0_before_any_pass(name, monkeypatch):
+    world, proposals, _ = _scene(seed=12)
+    shared = SceneWork(proposals, world.pool, [CFG])  # t0 = min(theta, nms_iou) = 0.5
+    passes = []
+    real = vlodtta.grad.forward
+    monkeypatch.setattr(vlodtta.grad, "forward", lambda *a, **k: passes.append(a) or real(*a, **k))
+    with pytest.raises(ValueError, match=rf"^the shared work lists overlaps from t0 = 0.5, not {name} = 0.3$"):
+        adapt_episode(proposals, world.pool, replace(CFG, **{name: 0.3}), shared=shared)
+    assert passes == []
+    adapt_episode(proposals, world.pool, replace(CFG, **{name: 0.5}), shared=shared)  # t0 itself is readable
+    assert len(passes) == 2
 
 
 def test_scene_work_read_at_two_reductions_raises():

@@ -279,20 +279,28 @@ def test_bench_reproduces_recorded_metrics(tmp_path, capsys):
         assert got[key] == pytest.approx(want, rel=0.0, abs=1e-9), key
 
 
-# sha256 of the bench CSV of `_doc(n_scenes=5)` and of its episode dump of
-# scene 1 (default episode config, lr > 0). Both depend on the BLAS build,
-# as every last bit of a matrix product does; a deliberate re-base updates
-# them and says so in CHANGES.md.
+# sha256 of the bench CSV of `_doc(n_scenes=5)` and of its episode dumps of
+# scene 1: the default episode config (lr > 0, gamma != 0), gamma = 0 (the
+# overlap graph is built only for the dump's clusters) and lr = 0 (no step,
+# no clusters). All depend on the BLAS build, as every last bit of a matrix
+# product does; a deliberate re-base updates them and says so in CHANGES.md.
 BENCH_CSV_SHA256 = "ae428b3aa48388a7213ef3df26a227a0b6ea01dabf78d4e6d4cdfd390acfe8db"
-EPISODE_DUMP_SHA256 = "a8ef1d263fce25f7172789fc5e6cc01329e865f0a548dea46ebd052f7b5d67fe"
+EPISODE_DUMP_SHA256 = {
+    "episode.json": ({}, "a8ef1d263fce25f7172789fc5e6cc01329e865f0a548dea46ebd052f7b5d67fe"),
+    "episode_gamma0.json": ({"gamma": 0.0}, "370c6c7503966f66e1d706a0dd1e55f722f15752dcca2c91162730c04274e4ed"),
+    "episode_lr0.json": ({"lr": 0.0}, "c25781bf53399fa38fab6c7b21224aa87bae1a8b3296fd79612262d146d270a7"),
+}
 
 
 def test_bench_csv_and_episode_dump_match_parent_digests(tmp_path, capsys):
-    config = _write(tmp_path, _doc(n_scenes=5))
-    assert cmd_bench(config, str(tmp_path / "bench.csv")) == 0
-    assert cmd_episode(config, 1, str(tmp_path / "episode.json")) == 0
+    assert cmd_bench(_write(tmp_path, _doc(n_scenes=5)), str(tmp_path / "bench.csv")) == 0
+    digests = {"bench.csv": BENCH_CSV_SHA256}
+    for name, (episode, want) in EPISODE_DUMP_SHA256.items():
+        config = _write(tmp_path, _doc(n_scenes=5, episode=episode), f"{name}.config")
+        assert cmd_episode(config, 1, str(tmp_path / name)) == 0
+        digests[name] = want
     capsys.readouterr()
-    for name, want in (("bench.csv", BENCH_CSV_SHA256), ("episode.json", EPISODE_DUMP_SHA256)):
+    for name, want in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 

@@ -131,6 +131,21 @@ def test_round_trip_preserves_everything():
     assert gts2 == gts
 
 
+def test_to_json_rejects_what_from_json_would_refuse():
+    # a ground truth of a class the scene does not have: the writer raises the reader's error
+    proposals, pool, gts = _sample_scene(k=3)
+    bad = [*gts, GroundTruth(Box(0, 0, 1, 1), 3)]
+    with pytest.raises(ValueError, match=r"^class_id must be in \[0, 2\]: 3$"):
+        scene_to_json(proposals, pool, bad)
+    doc = json.loads(json.dumps(scene_to_json(proposals, pool, gts)))
+    doc["gt"][0]["class_id"] = 3
+    with pytest.raises(ValueError, match=r"^class_id must be in \[0, 2\]: 3$"):
+        scene_from_json(doc)
+    # every class the scene has round-trips
+    edge = [GroundTruth(Box(0, 0, 1, 1), 0), GroundTruth(Box(0, 0, 1, 1), 2)]
+    assert scene_from_json(json.loads(json.dumps(scene_to_json(proposals, pool, edge))))[2] == edge
+
+
 def test_from_json_rejects_missing_and_unknown_keys():
     proposals, pool, gts = _sample_scene()
     doc = scene_to_json(proposals, pool, gts)

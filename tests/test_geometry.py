@@ -478,6 +478,9 @@ def test_detections_record_is_read_only_and_checks_shapes():
         ((unit + [0.0, 0.0, np.inf, 0.0], one, zero), "boxes must be finite"),
         ((unit, np.array([np.nan]), zero), "scores must be finite"),
         ((unit, one, np.array([-1])), "classes must be non-negative"),
+        ((np.array([[5.0, 5.0, 1.0, 1.0]]), np.array([0.9]), zero), "boxes must have x1 < x2 and y1 < y2"),
+        ((np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 2.0, 1.0, 2.0]]), np.ones(2), np.zeros(2, int)),
+         "boxes must have x1 < x2 and y1 < y2"),
     ]
     for args, message in bad:
         with pytest.raises(ValueError, match=f"^{message}"):
