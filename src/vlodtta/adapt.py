@@ -129,11 +129,11 @@ def fused_scores(
     phi: AdapterParams,
     delta: np.ndarray,
     cfg: EpisodeConfig,
-    selections: np.ndarray | None = None,
+    selections: np.ndarray,
     reuse: grad.Forward | None = None,
 ) -> grad.Forward:
-    """One scoring pass of an episode: `grad.forward` at the config's lam and rho."""
-    return grad.forward(proposals, pool, phi, delta, cfg.lam, selections, cfg.rho, reuse)
+    """One scoring pass of an episode: `grad.forward` at the config's lam."""
+    return grad.forward(proposals, pool, phi, delta, cfg.lam, selections, reuse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +288,7 @@ def adapt_episode(
         trace = EpisodeTrace(loss=0.0, detections=Detections.empty())
         return trace.detections, trace
 
-    work = shared if shared is not None else SceneWork(proposals, pool, [cfg])
+    work = shared if shared is not None else SceneWork(proposals, pool)
     pre, overlaps = work.inputs(proposals, pool, cfg)
     if cfg.lr == 0.0:
         # phi and delta stay as they were: the post pass would recompute pre
@@ -342,28 +342,22 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class SceneWork:
-    """What the episodes on one image share: pre passes and one overlap list.
+    """What the episodes on one image share, for any configs: prompt compatibility, pre passes, overlaps.
 
-    The configs of the episodes to come, `cfgs`, share one reduction, so
-    every episode starts from its fresh state and their pre passes differ
-    only where their configs do. Each part is computed by the first
-    episode that needs it, inside that episode, and read by the later
-    ones: a pass at a rho already scored is re-fused at the new lam from
-    its pooled and base scores; a new rho reuses the down-projection and
-    class scores of the first pass; the overlap list is listed once, from
-    the first pass's argmax classes, at the lowest theta or nms_iou of
-    `cfgs`. Every episode gets bit-identical results to one run without it.
+    Every episode starts from the fresh state of its reduction, so its pre
+    pass depends only on (reduction, rho, lam). Each part is computed by
+    the first episode that needs it and read by the later ones: the
+    prompts' compatibility with the image (`_compat`), which a new rho
+    selects from; a pass at a (reduction, rho) already scored, re-fused at
+    the new lam; a pass of the same reduction, whose down-projection and
+    class scores a new rho reuses; and the overlap list, listed at its
+    episode's min(theta, nms_iou) and again only for a lower one. Every
+    episode gets bit-identical results to one run without it.
     """
 
-    def __init__(self, proposals: ProposalSet, pool: PromptPool, cfgs: list[EpisodeConfig]) -> None:
-        reductions = {cfg.reduction for cfg in cfgs}
-        if len(reductions) != 1:
-            raise ValueError(f"the shared work needs configs of exactly one reduction: {sorted(reductions)}")
-        (self.reduction,) = reductions
+    def __init__(self, proposals: ProposalSet, pool: PromptPool) -> None:
         self.proposals, self.pool = proposals, pool
-        self.t0 = min(min(cfg.theta, cfg.nms_iou) for cfg in cfgs)
-        self._state = _fresh_state(proposals.d, self.reduction)
-        self._passes: dict[tuple[float, float], grad.Forward] = {}  # (rho, lam) -> pass
+        self._passes: dict[tuple[int, float, float], grad.Forward] = {}  # (reduction, rho, lam) -> pass
         self._overlaps: geometry.OverlapList | None = None
 
     def inputs(
@@ -371,8 +365,7 @@ class SceneWork:
     ) -> tuple[grad.Forward, geometry.OverlapList]:
         """The pre pass and the overlap list of an episode on this image.
 
-        Raises ValueError for another image or prompt bank, a config of another
-        reduction, or a theta or nms_iou below the overlap list's t0.
+        Raises ValueError for another image or prompt bank.
         """
         mine = self.proposals
         if not (
@@ -381,23 +374,29 @@ class SceneWork:
             and _same(pool.embeddings, self.pool.embeddings)
         ):
             raise ValueError("the shared work is of another image or prompt pool")
-        if cfg.reduction != self.reduction:
-            raise ValueError(f"the shared work serves reduction {self.reduction}, not {cfg.reduction}")
-        for name in ("theta", "nms_iou"):
-            if getattr(cfg, name) < self.t0:
-                raise ValueError(f"the shared work lists overlaps from t0 = {self.t0}, not {name} = {getattr(cfg, name)}")
-        key = (cfg.rho, cfg.lam)
+        key = (cfg.reduction, cfg.rho, cfg.lam)
         if key not in self._passes:
             self._passes[key] = self._pre_pass(cfg)
         pre = self._passes[key]
-        if self._overlaps is None:
-            self._overlaps = geometry.overlap_list(mine.boxes, cluster.predicted_classes(pre.fused), self.t0)
+        t0 = min(cfg.theta, cfg.nms_iou)
+        if self._overlaps is None or t0 < self._overlaps.t0:
+            self._overlaps = geometry.overlap_list(mine.boxes, cluster.predicted_classes(pre.fused), t0)
         return pre, self._overlaps
 
+    @functools.cached_property
+    def _compat(self) -> np.ndarray:
+        """(K, T) mean cosine of each prompt against the image's unit feature rows, which the fresh adapter keeps."""
+        v = self.proposals.features
+        mean_unit = (1.0 / np.sqrt(self.proposals.feature_sq)) @ v / v.shape[0]
+        # prompt_compat averages the unit rows it is given: here the one mean row
+        return scoring.prompt_compat(mean_unit[None], self.pool.embeddings, np.zeros(v.shape[1]))
+
     def _pre_pass(self, cfg: EpisodeConfig) -> grad.Forward:
-        for (rho, _), like in self._passes.items():
-            if rho == cfg.rho:
+        for (reduction, rho, _), like in self._passes.items():
+            if (reduction, rho) == (cfg.reduction, cfg.rho):
                 return replace(like, lam=cfg.lam, fused=scoring.fuse(like.pooled, like.base, cfg.lam))
-        # every pass shares the fresh state's W_down and b_down, so any can lend its down-projection
-        reuse = next(iter(self._passes.values()), None)
-        return fused_scores(self.proposals, self.pool, self._state.phi, self._state.delta, cfg, reuse=reuse)
+        # the passes of one reduction share its fresh W_down and b_down, so any can lend its down-projection
+        reuse = next((p for (reduction, *_), p in self._passes.items() if reduction == cfg.reduction), None)
+        state = _fresh_state(self.proposals.d, cfg.reduction)
+        selections = scoring.select_prompts(self._compat, cfg.rho)
+        return fused_scores(self.proposals, self.pool, state.phi, state.delta, cfg, selections, reuse)

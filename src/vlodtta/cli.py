@@ -148,15 +148,15 @@ def _suite_reports(cfgs: list[EpisodeConfig], suite, measure_time: bool) -> list
     """Run each episode config over a suite; one report and mean ms per episode each.
 
     Scene by scene, every config's episode reads one `SceneWork` of the
-    scene, so the pre passes and the overlap list are computed once per
-    scene, each in the first episode that needs it. Each config's
-    detections are evaluated once, after the last scene.
+    scene, so its prompt selections, pre passes and overlap list are
+    computed once per scene, each in the first episode that needs it. Each
+    config's detections are evaluated once, after the last scene.
     """
     pool = suite.world.pool
     dets_all = [[] for _ in cfgs]
     elapsed = [0.0] * len(cfgs)
     for proposals, _ in suite.scenes:
-        shared = SceneWork(proposals, pool, cfgs)
+        shared = SceneWork(proposals, pool)
         for i, ecfg in enumerate(cfgs):
             start = time.perf_counter() if measure_time else 0.0
             dets_all[i].append(adapt_episode(proposals, pool, ecfg, shared=shared)[0])
@@ -169,6 +169,16 @@ def _suite_reports(cfgs: list[EpisodeConfig], suite, measure_time: bool) -> list
     ]
 
 
+def _seed_reports(cfg: RunConfig, cfgs: list[EpisodeConfig], measure_time: bool) -> list[list[tuple[APReport, float]]]:
+    """Each episode config's report and mean ms per base seed: out[config index][base seed]."""
+    out = [[] for _ in cfgs]
+    for base_seed in range(cfg.seeds):
+        suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
+        for per_seed, report in zip(out, _suite_reports(cfgs, suite, measure_time)):
+            per_seed.append(report)
+    return out
+
+
 def _header_block(cfg: RunConfig) -> str:
     return "# config " + json.dumps(run_config_to_dict(cfg), sort_keys=True) + "\n"
 
@@ -177,22 +187,17 @@ def cmd_bench(config_path: str, out_path: str) -> int:
     """Run every configured method over every base seed; write one CSV."""
     cfg = load_config(config_path)
     cfgs = [cfg.episode if m == "vlodtta" else baseline_config(_BASELINE_OF[m], cfg.episode) for m in cfg.methods]
-    rows = []
-    for base_seed in range(cfg.seeds):
-        suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-        reports = _suite_reports(cfgs, suite, cfg.measure_time)
-        for method, (report, mean_ms) in zip(cfg.methods, reports):
-            rows.append((method, base_seed, report, mean_ms))
-    rows.sort(key=lambda r: (cfg.methods.index(r[0]), r[1]))
+    reports = _seed_reports(cfg, cfgs, cfg.measure_time)
     lines = [_header_block(cfg), ",".join(CSV_COLUMNS) + "\n"]
-    for method, base_seed, report, mean_ms in rows:
-        lines.append(
-            f"{method},{base_seed},{cfg.n_scenes},{cfg.shift.magnitude!r},"
-            f"{report.mean_ap!r},{report.ap50!r},{report.ap75!r},{mean_ms:.3f}\n"
-        )
+    for method, per_seed in zip(cfg.methods, reports):
+        for base_seed, (report, mean_ms) in enumerate(per_seed):
+            lines.append(
+                f"{method},{base_seed},{cfg.n_scenes},{cfg.shift.magnitude!r},"
+                f"{report.mean_ap!r},{report.ap50!r},{report.ap75!r},{mean_ms:.3f}\n"
+            )
     Path(out_path).write_text("".join(lines))
-    for method in cfg.methods:
-        picked = [r[2] for r in rows if r[0] == method]
+    for method, per_seed in zip(cfg.methods, reports):
+        picked = [r for r, _ in per_seed]
         print(
             f"{method:>8}  mAP {_mean(r.mean_ap for r in picked):.4f}"
             f"  AP50 {_mean(r.ap50 for r in picked):.4f}"
@@ -340,19 +345,15 @@ def cmd_sweep(config_path: str, param: str, grid: list[float], out_path: str) ->
     except ValueError as exc:
         print(f"bad grid for {param}: {exc}", file=sys.stderr)
         return 2
-    reports = [[] for _ in episode_cfgs]  # reports[value index][base seed]
-    for base_seed in range(cfg.seeds):
-        suite = make_suite(base_seed, cfg.n_scenes, cfg.sim, cfg.shift)
-        for per_value, (report, _) in zip(reports, _suite_reports(episode_cfgs, suite, measure_time=False)):
-            per_value.append(report)
+    reports = _seed_reports(cfg, episode_cfgs, measure_time=False)
     lines = [_header_block(cfg), ",".join(SWEEP_COLUMNS) + "\n"]
     for cast, per_value in zip(casts, reports):
-        for base_seed, report in enumerate(per_value):
+        for base_seed, (report, _) in enumerate(per_value):
             lines.append(
                 f"{param},{cast!r},{base_seed},{cfg.n_scenes},"
                 f"{report.mean_ap!r},{report.ap50!r},{report.ap75!r}\n"
             )
-        print(f"{param} = {cast}: mean mAP {_mean(r.mean_ap for r in per_value):.4f} over {cfg.seeds} seeds")
+        print(f"{param} = {cast}: mean mAP {_mean(r.mean_ap for r, _ in per_value):.4f} over {cfg.seeds} seeds")
     Path(out_path).write_text("".join(lines))
     print(f"wrote {out_path}")
     return 0

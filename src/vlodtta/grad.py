@@ -162,7 +162,7 @@ class Forward:
     """One fused-score pass over every proposal, with the intermediates `backward` reads.
 
     The adapted rows a = v + H W_up + b_up are never built: with `_up_factors`
-    they are v + L U for an (N, r) L and an (r, d) U, r <= h + 1, so each
+    they are v + L U for an (N, r) L and an (r, d) U, r in {0, h + 1}, so each
     score a x is v x + L (U x) and each |a|^2 comes from (N, r) products.
     """
 
@@ -198,18 +198,15 @@ def _down(v: np.ndarray, phi: "AdapterParams") -> tuple[np.ndarray, np.ndarray]:
 
 
 def _up_factors(hidden: np.ndarray, w_up: np.ndarray, b_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, U) with L @ U == hidden @ w_up + b_up, leaving out a zero w_up or b_up.
+    """(L, U) with L @ U == hidden @ w_up + b_up.
 
-    L holds hidden's columns (against w_up's rows) and then a column of ones
-    (against b_up), so L is (N, r) and U is (r, d) with r in {0, 1, h, h + 1}.
+    For a zero w_up and b_up (every fresh adapter) L is (N, 0) and U (0, d);
+    otherwise L is [hidden, 1] and U is [w_up; b_up], so r = h + 1. A zero
+    row of U there adds exact zeros.
     """
-    pairs = [(hidden, w_up)] if w_up.any() else []
-    if b_up.any():
-        pairs.append((np.ones((hidden.shape[0], 1)), b_up[None]))
-    if not pairs:
+    if not (w_up.any() or b_up.any()):
         return np.zeros((hidden.shape[0], 0)), np.zeros((0, b_up.shape[0]))
-    low, up = zip(*pairs)
-    return np.hstack(low), np.vstack(up)
+    return np.hstack([hidden, np.ones((hidden.shape[0], 1))]), np.vstack([w_up, b_up[None]])
 
 
 def adapter(
@@ -234,13 +231,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def forward(
     proposals: "ProposalSet", pool: "PromptPool", phi: "AdapterParams", delta: np.ndarray,
-    lam: float, selections: np.ndarray | None = None, rho: float = 1.0, reuse: Forward | None = None,
+    lam: float, selections: np.ndarray, reuse: Forward | None = None,
 ) -> Forward:
     """Adapter, cosine scores, prompt aggregation, and fusion for every proposal.
 
-    When selections is None each class keeps its ceil(rho * T) prompts of
-    highest image compatibility, taken from the mean unit adapted row of
-    this pass; passing an array reuses a frozen choice, which is validated
+    `selections` holds each class's selected prompt indices (see
+    `adapt.SceneWork` for how an episode picks them); it is validated
     unless it is `reuse.selections`. Each class's mean
     unit selected prompt is scored once: neither the (N, K, T) tensor over
     the whole bank nor an (N, K * n_sel) one is built here, and no (N, d)
@@ -281,22 +277,7 @@ def forward(
     feature_norms = scoring.norms_from_squares(sq)
     inv_norms = 1.0 / feature_norms
 
-    if selections is None:
-        # the mean unit adapted row: (w v + (w L) U) / N with w = 1 / |a|, near rows added directly
-        w = inv_norms[:, 0]
-        if near.size:
-            w = w.copy()
-            w[near] = 0.0
-        total = w @ v
-        if rank:
-            total += (w @ low) @ up
-        if near.size:
-            total += inv_norms[near, 0] @ direct
-        mean_unit = total / v.shape[0]
-        # prompt_compat averages the unit rows it is given: here the one mean row
-        selections = scoring.select_prompts(scoring.prompt_compat(mean_unit[None], bank, delta), rho)
-        rows = scoring._prompt_rows(np.sort(selections, axis=-1), bank.shape[1])
-    elif reuse is not None and selections is reuse.selections:
+    if reuse is not None and selections is reuse.selections:
         rows = reuse.prompt_rows
     else:
         rows = scoring._prompt_rows(scoring._sorted_selection(selections, *bank.shape[:2]), bank.shape[1])
@@ -352,9 +333,11 @@ def objective(fwd: Forward, constants: ObjectiveConstants) -> tuple[float, _Save
     the kept proposals. Weights, selections, and kept indices are treated
     as constants, so gradients flow through the entropies only.
     """
-    kept = np.asarray(constants.kept, dtype=int)
+    kept = np.asarray(constants.kept)
     if kept.size == 0:
         raise ValueError("no kept proposals; the objective is undefined")
+    if kept.dtype.kind not in "iu":  # a float or bool array would be truncated to other rows
+        raise ValueError(f"kept must hold integer proposal indices, not {kept.dtype}")
     if np.unique(kept).size != kept.size:  # `backward` scatters per-row terms by these indices
         raise ValueError("kept proposal indices must be distinct")
     weights = np.asarray(constants.weights, dtype=float)
@@ -405,7 +388,7 @@ def backward(saved: _Saved) -> Gradients:
     hidden = f.hidden[kept]
     low, up = _up_factors(hidden, w_up, b_up)
     # [H, 1]: the columns against [W_up; b_up], which get gradient even where they are zero
-    full_low = np.hstack([hidden, np.ones((hidden.shape[0], 1))])
+    full_low = low if up.shape[0] else np.hstack([hidden, np.ones((hidden.shape[0], 1))])
     cols = [alpha, beta * full_low]
     down_moves = w_up.any()  # a zero up-projection passes no gradient to the down-projection
     if down_moves:

@@ -163,15 +163,17 @@ def select_prompts(compat: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _sorted_selection(selections: np.ndarray, num_classes: int, pool_size: int) -> np.ndarray:
-    """Each class's selected prompt indices in ascending order, after validation."""
-    sel = np.asarray(selections, dtype=int)
-    if sel.ndim != 2 or sel.shape[0] != num_classes:
+    """Each class's selected prompt indices in ascending order, after validation (floats are not truncated)."""
+    sel = np.asarray(selections)
+    if sel.dtype.kind not in "iu":
+        raise ValueError(f"selections must hold integer prompt indices, not {sel.dtype}")
+    if sel.ndim != 2 or sel.shape[0] != num_classes or sel.shape[1] == 0:
         raise ValueError(f"selections must be ({num_classes}, n_sel): {sel.shape}")
-    out_of_range = ((sel < 0) | (sel >= pool_size)).any(axis=-1)
+    sorted_sel = np.sort(sel.astype(int, copy=False), axis=-1)
+    out_of_range = (sorted_sel[:, 0] < 0) | (sorted_sel[:, -1] >= pool_size)
     if out_of_range.any():
         raise ValueError(f"selection index out of range for class {int(np.argmax(out_of_range))}")
-    sorted_sel = np.sort(sel, axis=-1)
-    duplicated = (np.diff(sorted_sel, axis=-1) == 0).any(axis=-1)
+    duplicated = (sorted_sel[:, 1:] == sorted_sel[:, :-1]).any(axis=-1)
     if duplicated.any():
         raise ValueError(f"duplicate prompt index for class {int(np.argmax(duplicated))}")
     return sorted_sel

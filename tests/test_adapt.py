@@ -33,7 +33,7 @@ from vlodtta.adapt import (
     run_baseline,
 )
 from vlodtta.checks import nms_detections, reference_components, reference_nms
-from vlodtta.data import ProposalSet
+from vlodtta.data import PromptPool, ProposalSet
 from vlodtta.evaluation import evaluate
 from vlodtta.grad import Gradients, ObjectiveConstants, backward, forward_objective
 from vlodtta.scoring import (
@@ -57,6 +57,12 @@ def _scene(seed=0, magnitude=0.5, sim=SimConfig()):
     world = gen_world(seed, sim, shift)
     proposals, gts = gen_scene_proposals(seed * SEED_SCALE, world)
     return world, proposals, gts
+
+
+def _fresh_selection(proposals, pool, rho):
+    """The prompts an episode scores: each class's ceil(rho * T) best fits to the image's unit rows."""
+    unit = normalize_rows(proposals.features)
+    return select_prompts(prompt_compat(unit, pool.embeddings, np.zeros(proposals.d)), rho)
 
 
 def _predict_with_public_api(fused, boxes, cfg):
@@ -219,12 +225,82 @@ def test_episode_contract_on_random_scenes(case):
     assert (dets, trace) == alone
 
 
+# any correct episode is blind to the order of the proposal rows, the class
+# ids and the order of each class's prompts: reordering them leaves the
+# detections as they are, up to the relabelling. Each property runs at the
+# default config and the limit configs of acceptance criterion 3.
+LIMIT_CFGS = (CFG, replace(CFG, gamma=0.0), replace(CFG, theta=0.0), replace(CFG, lam=0.0), replace(CFG, rho=1.0))
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """A small scene with a permutation of its rows, of its classes, and of each class's prompts."""
+    sim = SimConfig(
+        d=draw(st.sampled_from([16, 32, 64])),  # the default reduction, 16, divides each
+        num_classes=draw(st.integers(2, 6)),
+        pool_size=draw(st.integers(1, 8)),
+        objects_min=1,
+        objects_max=draw(st.integers(1, 5)),
+        proposals_min=1,
+        proposals_max=draw(st.integers(1, 20)),
+        background=draw(st.integers(0, 30)),
+    )
+    world = gen_world(draw(st.integers(0, 2**16)), sim, ShiftSpec(magnitude=draw(st.sampled_from([0.0, 0.5]))))
+    proposals, _ = gen_scene_proposals(draw(st.integers(0, 2**16)), world)
+    rows = np.array(draw(st.permutations(range(proposals.n))), dtype=int)
+    classes = np.array(draw(st.permutations(range(sim.num_classes))), dtype=int)
+    prompts = np.array([draw(st.permutations(range(sim.pool_size))) for _ in range(sim.num_classes)], dtype=int)
+    return world.pool, proposals, rows, classes, prompts
+
+
+def _detection_set(dets, class_of=None):
+    """Detections as a set of (box, class, score) at 9 decimals; class_of maps each class id first."""
+    classes = dets.classes if class_of is None else class_of[dets.classes]
+    return {
+        (tuple(np.round(box, 9).tolist()), int(c), round(score, 9))
+        for box, c, score in zip(dets.boxes, classes, dets.scores.tolist())
+    }
+
+
+@given(_symmetry_cases())
+@settings(max_examples=25, deadline=None)
+def test_permuting_proposal_rows_keeps_the_detections(case):
+    pool, proposals, rows, _, _ = case
+    permuted = replace(proposals, boxes=proposals.boxes[rows], features=proposals.features[rows])
+    for cfg in LIMIT_CFGS:
+        want = _detection_set(adapt_episode(proposals, pool, cfg)[0])
+        assert _detection_set(adapt_episode(permuted, pool, cfg)[0]) == want, cfg
+
+
+@given(_symmetry_cases())
+@settings(max_examples=25, deadline=None)
+def test_relabelling_classes_relabels_the_detections(case):
+    pool, proposals, _, classes, _ = case
+    relabelled = replace(proposals, class_embeddings=proposals.class_embeddings[classes])
+    relabelled_pool = PromptPool(pool.embeddings[classes])
+    for cfg in LIMIT_CFGS:
+        want = _detection_set(adapt_episode(proposals, pool, cfg)[0])
+        # new class i is old class classes[i]
+        assert _detection_set(adapt_episode(relabelled, relabelled_pool, cfg)[0], classes) == want, cfg
+
+
+@given(_symmetry_cases())
+@settings(max_examples=25, deadline=None)
+def test_permuting_each_class_prompts_keeps_the_detections(case):
+    pool, proposals, _, _, prompts = case
+    shuffled = PromptPool(np.take_along_axis(pool.embeddings, prompts[:, :, None], axis=1))
+    for cfg in LIMIT_CFGS:
+        want = _detection_set(adapt_episode(proposals, pool, cfg)[0])
+        assert _detection_set(adapt_episode(proposals, shuffled, cfg)[0]) == want, cfg
+
+
 def test_lr_zero_episode_is_bit_identical_to_no_adaptation():
     world, proposals, _ = _scene(seed=1)
     cfg = EpisodeConfig(lr=0.0)
     dets, trace = adapt_episode(proposals, world.pool, cfg)
     state = AdaptState.zero_init(proposals.d, cfg.reduction)
-    pre = fused_scores(proposals, world.pool, state.phi, state.delta, cfg)
+    sel = _fresh_selection(proposals, world.pool, cfg.rho)
+    pre = fused_scores(proposals, world.pool, state.phi, state.delta, cfg, sel)
     expected = _predict_with_public_api(pre.fused, proposals.boxes, cfg)
     assert dets == expected
     assert trace.pre_score_range == trace.post_score_range
@@ -474,7 +550,8 @@ def test_compat_and_selected_scoring_match_the_dense_tensor(sim, n_scenes):
     full = EpisodeConfig(rho=1.0)
     for seed in range(n_scenes):
         proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
-        for state in _stepped_states(world, proposals):
+        zero, stepped = _stepped_states(world, proposals)
+        for state in (zero, stepped):
             adapted = apply_adapter(proposals.features, state.phi)
             z = prompt_scores(adapted, pool, state.delta)
             dense = image_prompt_compat(z)
@@ -482,12 +559,14 @@ def test_compat_and_selected_scoring_match_the_dense_tensor(sim, n_scenes):
             assert np.max(np.abs(compat - dense)) <= 1e-12
             sel = select_prompts(compat, CFG.rho)
             np.testing.assert_array_equal(sel, select_prompts(dense, CFG.rho))
-            scores = fused_scores(proposals, world.pool, state.phi, state.delta, CFG)
-            np.testing.assert_array_equal(scores.selections, sel)
+            if state is zero:  # the episode selects at the fresh adapter
+                np.testing.assert_array_equal(adapt_episode(proposals, world.pool, CFG)[1].pre.selections, sel)
+            scores = fused_scores(proposals, world.pool, state.phi, state.delta, CFG, sel)
             # pooled is one cosine against each class's mean unit prompt, so
             # it matches the mean of the dense scores up to rounding
             assert np.max(np.abs(scores.pooled - aggregate_selected(z, sel))) <= 1e-12
-            all_prompts = fused_scores(proposals, world.pool, state.phi, state.delta, full)
+            every = select_prompts(compat, 1.0)
+            all_prompts = fused_scores(proposals, world.pool, state.phi, state.delta, full, every)
             assert np.max(np.abs(all_prompts.pooled - z.mean(axis=-1))) <= 1e-12
 
 
@@ -496,9 +575,10 @@ def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
     # a stepped episode runs the fused-score forward twice (pre and post
     # pass; the objective reads the pre pass), a zero-step episode
     # (prompt_average has lr = 0) once. Every product taken with the (N, d)
-    # features is recorded by its output size. From a fresh adapter the pre
-    # pass takes the down-projection (N * h), the mean unit row for the
-    # selection (d), and the class and mean prompt directions (N * K each);
+    # features is recorded by its output size. Outside the passes the
+    # episode takes one, the mean unit row for the selection (d). From a
+    # fresh adapter the pre pass takes the down-projection (N * h) and the
+    # class and mean prompt directions (N * K each);
     # the post pass keeps the first and the class products and adds the
     # up-projection [W_up; b_up] (N * (h + 1)); the backward takes one
     # product with a row matrix of K + h + 1 columns. None of this depends
@@ -530,17 +610,27 @@ def test_episode_scores_only_the_selected_prompts(monkeypatch, sim):
     proposals = replace(proposals, features=proposals.features.view(CountedRows))
     n, d, k = proposals.n, proposals.d, world.pool.num_classes
     h, pool_size = d // CFG.reduction, world.pool.pool_size
-    pre = ("forward", sorted([n * h, d, n * k, n * k]))
+    pre = ("forward", sorted([n * h, n * k, n * k]))
     stepped = [pre, ("backward", [d * (k + h + 1)]), ("forward", sorted([n * (h + 1), n * k]))]
+
+    def outside_the_passes(run):
+        """The product sizes an episode takes outside `forward` and `backward`."""
+        start = len(sizes)
+        run()
+        rest = sizes[start:]
+        for size in (s for _, taken in calls for s in taken):
+            rest.remove(size)
+        return rest
+
     for rho in (CFG.rho, 0.5, 1.0):
         cfg = replace(CFG, rho=rho)
-        adapt_episode(proposals, world.pool, cfg)
+        assert outside_the_passes(lambda: adapt_episode(proposals, world.pool, cfg)) == [d], rho
         assert calls == stepped, rho
         calls.clear()
-        run_baseline("entropy_adapter", proposals, world.pool, cfg)
+        assert outside_the_passes(lambda: run_baseline("entropy_adapter", proposals, world.pool, cfg)) == [d], rho
         assert calls == stepped, rho
         calls.clear()
-        run_baseline("prompt_average", proposals, world.pool, cfg)
+        assert outside_the_passes(lambda: run_baseline("prompt_average", proposals, world.pool, cfg)) == [d], rho
         assert calls == [pre], rho
         calls.clear()
     dense = {n * k * math.ceil(rho * pool_size) for rho in (CFG.rho, 0.5)} | {n * k * pool_size}
@@ -594,17 +684,17 @@ def test_episode_objective_matches_forward_objective(sim):
 def test_a_delta_that_cancels_a_prompt_names_its_class_and_prompt():
     world, proposals, _ = _scene(seed=14)
     state = AdaptState.zero_init(proposals.d, CFG.reduction)
-    pre = fused_scores(proposals, world.pool, state.phi, state.delta, CFG)
+    selections = _fresh_selection(proposals, world.pool, CFG.rho)
+    unit = normalize_rows(proposals.features)
     k = 2
-    for t in pre.selections[k].tolist():
+    for t in selections[k].tolist():
         delta = -world.pool.embeddings[k, t]
         message = rf"^class {k} prompt {t} plus delta has norm"
-        # a pass that selects finds it while scoring the whole bank's compatibility
+        # selecting at this delta finds it while scoring the whole bank's compatibility
         with pytest.raises(NearZeroRow, match=message):
-            fused_scores(proposals, world.pool, state.phi, delta, CFG)
-        # a pass with frozen selections finds it among the selected prompts,
-        # whatever order the selection lists them in
-        for sel in (pre.selections, pre.selections[:, ::-1]):
+            prompt_compat(unit, world.pool.embeddings, delta)
+        # a pass finds it among the selected prompts, whatever order the selection lists them in
+        for sel in (selections, selections[:, ::-1]):
             with pytest.raises(NearZeroRow, match=message):
                 fused_scores(proposals, world.pool, state.phi, delta, CFG, selections=sel)
 
@@ -685,7 +775,7 @@ def test_single_step_descends_for_small_enough_lr():
     # allow halving from the default a bounded number of times
     world, proposals, _ = _scene(seed=7)
     state = AdaptState.zero_init(proposals.d, CFG.reduction)
-    pre = fused_scores(proposals, world.pool, state.phi, state.delta, CFG)
+    pre = fused_scores(proposals, world.pool, state.phi, state.delta, CFG, _fresh_selection(proposals, world.pool, CFG.rho))
     kept = np.asarray(vlodtta.geometry.top_m_filter(pre.fused, CFG.top_m), dtype=int)
     classes = vlodtta.cluster.predicted_classes(pre.fused[kept])
     assignment = vlodtta.cluster.build_class_graphs(proposals.boxes[kept], classes, CFG.theta)
@@ -788,53 +878,40 @@ def _episode_bits(proposals, pool, cfg, **kwargs):
 @pytest.mark.parametrize("sim", [SimConfig(), COCO_SIM], ids=["desk", "coco"])
 def test_shared_scene_work_matches_each_episode_alone(sim):
     world = gen_world(5, sim, ShiftSpec(magnitude=0.5))
-    cfgs = list(METHOD_CFGS.values())
     for scene in range(2):
         proposals, _ = gen_scene_proposals(scene * SEED_SCALE + 5, world)
         alone = {name: _episode_bits(proposals, world.pool, cfg) for name, cfg in METHOD_CFGS.items()}
         # whichever episode comes first computes a part; the others read it
         for order in (list(METHOD_CFGS), list(METHOD_CFGS)[::-1], ["pa", "zs"]):
-            shared = SceneWork(proposals, world.pool, cfgs)
+            shared = SceneWork(proposals, world.pool)
             for name in order:
                 assert _episode_bits(proposals, world.pool, METHOD_CFGS[name], shared=shared) == alone[name]
 
 
-def test_shared_scene_work_rejects_other_images_states_and_thresholds():
+def test_shared_scene_work_rejects_another_image():
     world, proposals, _ = _scene(seed=12)
     other, _ = gen_scene_proposals(12 * SEED_SCALE + 1, world)
-    shared = SceneWork(proposals, world.pool, [CFG])
+    shared = SceneWork(proposals, world.pool)
     with pytest.raises(ValueError, match="another image"):
         adapt_episode(other, world.pool, CFG, shared=shared)
-    # it starts every episode from the fresh state of one reduction
-    with pytest.raises(ValueError, match="^the shared work serves reduction 16, not 8$"):
-        adapt_episode(proposals, world.pool, replace(CFG, reduction=8), shared=shared)
-    # the list is at t0 = min(theta, nms_iou) = 0.5: a lower theta cannot read it
-    with pytest.raises(ValueError, match="t0"):
-        adapt_episode(proposals, world.pool, replace(CFG, theta=0.3), shared=shared)
     assert _episode_bits(proposals, world.pool, CFG, shared=shared) == _episode_bits(proposals, world.pool, CFG)
 
 
-@pytest.mark.parametrize("name", ["theta", "nms_iou"])
-def test_scene_work_rejects_a_threshold_below_its_t0_before_any_pass(name, monkeypatch):
+def test_one_scene_work_serves_two_reductions_and_a_lower_threshold(monkeypatch):
+    # the work keys its pre passes by (reduction, rho, lam) and lists the
+    # overlaps again only for an episode below the list's threshold
     world, proposals, _ = _scene(seed=12)
-    shared = SceneWork(proposals, world.pool, [CFG])  # t0 = min(theta, nms_iou) = 0.5
-    passes = []
-    real = vlodtta.grad.forward
-    monkeypatch.setattr(vlodtta.grad, "forward", lambda *a, **k: passes.append(a) or real(*a, **k))
-    with pytest.raises(ValueError, match=rf"^the shared work lists overlaps from t0 = 0.5, not {name} = 0.3$"):
-        adapt_episode(proposals, world.pool, replace(CFG, **{name: 0.3}), shared=shared)
-    assert passes == []
-    adapt_episode(proposals, world.pool, replace(CFG, **{name: 0.5}), shared=shared)  # t0 itself is readable
-    assert len(passes) == 2
-
-
-def test_scene_work_read_at_two_reductions_raises():
-    # the configs must share one reduction, checked when the work is built
-    world, proposals, _ = _scene(seed=15)
-    with pytest.raises(ValueError, match=r"^the shared work needs configs of exactly one reduction: \[8, 16\]$"):
-        SceneWork(proposals, world.pool, [CFG, replace(CFG, reduction=8)])
-    with pytest.raises(ValueError, match=r"^the shared work needs configs of exactly one reduction: \[\]$"):
-        SceneWork(proposals, world.pool, [])
+    cfgs = [
+        CFG, replace(CFG, reduction=8), replace(CFG, theta=0.3), replace(CFG, reduction=8, rho=0.5, lam=0.6),
+        replace(CFG, nms_iou=0.2, lr=0.0), replace(CFG, reduction=8, theta=0.4),
+    ]
+    alone = [_episode_bits(proposals, world.pool, cfg) for cfg in cfgs]
+    listed = []
+    real = vlodtta.geometry.overlap_list
+    monkeypatch.setattr(vlodtta.geometry, "overlap_list", lambda *a, **k: listed.append(a[2]) or real(*a, **k))
+    shared = SceneWork(proposals, world.pool)
+    assert [_episode_bits(proposals, world.pool, cfg, shared=shared) for cfg in cfgs] == alone
+    assert listed == [0.5, 0.3, 0.2]
 
 
 def test_one_listing_per_image_and_none_inside_nms_or_clustering(monkeypatch):
@@ -858,7 +935,7 @@ def test_one_listing_per_image_and_none_inside_nms_or_clustering(monkeypatch):
         assert calls == {"overlap_list": 1, "forward": 1 if cfg.lr == 0.0 else 2}
     # four methods on one image: one listing, and four forwards where they ran six alone
     calls.update(overlap_list=0, forward=0)
-    shared = SceneWork(proposals, world.pool, list(METHOD_CFGS.values()))
+    shared = SceneWork(proposals, world.pool)
     for cfg in METHOD_CFGS.values():
         adapt_episode(proposals, world.pool, cfg, shared=shared)
     assert calls == {"overlap_list": 1, "forward": 4}

@@ -304,6 +304,19 @@ def test_bench_csv_and_episode_dump_match_parent_digests(tmp_path, capsys):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
+def test_parent_digests_hold_on_one_blas_thread():
+    # the test above runs at the default BLAS thread count; a threaded BLAS
+    # may split a product's sums by thread, so run it again on one thread
+    test = f"{__file__}::test_bench_csv_and_episode_dump_match_parent_digests"
+    env = {**_cli_env(), "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        capture_output=True, text=True, env=env, timeout=300.0,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 passed" in result.stdout
+
+
 def test_bench_rows_do_not_depend_on_the_other_methods(tmp_path, capsys):
     # each scene's pre passes and overlap list are computed by whichever
     # method needs them first; every (method, seed) row must come out the same
@@ -330,7 +343,8 @@ def test_bench_and_sweep_list_each_scene_once(tmp_path, capsys, monkeypatch):
     assert calls == [0.5] * 4  # min(theta, nms_iou) of the four methods
     calls.clear()
     assert cmd_sweep(config, "theta", [0.9, 0.3, 0.6], str(tmp_path / "sweep.csv")) == 0
-    assert calls == [0.3] * 4  # the lowest theta of the grid
+    # listed at the first value's min(theta, nms_iou), then again only for a lower one
+    assert calls == [0.5, 0.3] * 4
     capsys.readouterr()
 
 

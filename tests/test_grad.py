@@ -421,6 +421,33 @@ def test_objective_rejects_empty_kept_and_bad_weights():
         forward_objective(proposals, pool, state, repeated)
 
 
+def _raw_selection(proposals, pool, rho):
+    """Each class's ceil(rho * T) prompts of best compatibility with the raw features."""
+    unit = normalize_rows(proposals.features)
+    return select_prompts(prompt_compat(unit, pool.embeddings, np.zeros(proposals.d)), rho)
+
+
+def test_non_integer_selections_and_kept_are_rejected_not_truncated():
+    # a cast to int truncated them: selections sel + 0.7 scored sel, and
+    # kept = [0.5, 1.2, 2.9] fed the objective rows 0, 1 and 2
+    proposals, pool, state = _zero_init_instance(n=12, d=8)
+    sel = _raw_selection(proposals, pool, 0.5)
+    for bad in (sel + 0.7, sel.astype(float), sel > 0):
+        with pytest.raises(ValueError, match="^selections must hold integer prompt indices"):
+            forward(proposals, pool, state.phi, state.delta, lam=0.3, selections=bad)
+    fwd = forward(proposals, pool, state.phi, state.delta, lam=0.3, selections=sel)
+    unsigned = forward(proposals, pool, state.phi, state.delta, lam=0.3, selections=sel.astype(np.uint32))
+    np.testing.assert_array_equal(unsigned.fused, fwd.fused)
+    for kept in ([0.5, 1.2, 2.9], np.arange(12) < 3):
+        constants = ObjectiveConstants(
+            weights=np.ones(np.size(kept)), selections=sel, kept=np.asarray(kept), lam=0.3, kappa=20.0,
+        )
+        with pytest.raises(ValueError, match="^kept must hold integer proposal indices"):
+            vlodtta.grad.objective(fwd, constants)
+    ints = ObjectiveConstants(weights=np.ones(3), selections=sel, kept=np.arange(3), lam=0.3, kappa=20.0)
+    assert math.isfinite(vlodtta.grad.objective(fwd, ints)[0])
+
+
 # -- the adapter as a rank-(h + 1) update ------------------------------------ #
 
 COCO_SIM = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
@@ -452,10 +479,10 @@ def test_forward_matches_the_normalized_adapted_rows(sim):
         mean_dirs = normalize_rows(selected_prompts(bank, sel) + state.delta).mean(axis=1)
         base = unit @ normalize_rows(proposals.class_embeddings).T
         pooled = unit @ mean_dirs.T
-        fresh = forward(proposals, world.pool, state.phi, state.delta, lam=0.3, rho=0.25)
-        np.testing.assert_array_equal(fresh.selections, sel)
+        fresh = forward(proposals, world.pool, state.phi, state.delta, lam=0.3, selections=sel)
         still = replace(state.phi, w_up=np.zeros_like(state.phi.w_up), b_up=np.zeros(proposals.d))
-        first = forward(proposals, world.pool, still, np.zeros(proposals.d), lam=0.3, rho=0.25)
+        first_sel = _raw_selection(proposals, world.pool, 0.25)
+        first = forward(proposals, world.pool, still, np.zeros(proposals.d), lam=0.3, selections=first_sel)
         reused = forward(proposals, world.pool, state.phi, state.delta, lam=0.3, selections=sel, reuse=first)
         for fwd in (fresh, reused):
             for got, want in ((fwd.base, base), (fwd.pooled, pooled), (fwd.fused, fuse(pooled, base, 0.3))):
@@ -471,16 +498,17 @@ def _cancelling_state(proposals, row, shrink):
 
 def test_an_adapted_row_that_cancels_is_named():
     proposals, pool, _ = _zero_init_instance(n=12, d=8)
+    sel = _raw_selection(proposals, pool, 0.5)
     for row in (0, 5, 11):
         state = _cancelling_state(proposals, row, 0.0)
         with pytest.raises(NearZeroRow, match=f"^row {row} "):
-            forward(proposals, pool, state.phi, state.delta, lam=0.3, rho=0.5)
+            forward(proposals, pool, state.phi, state.delta, lam=0.3, selections=sel)
         # the same through a nonzero W_up, whose up-projection b_up then cancels
         w_up = 0.1 * np.random.default_rng(row).standard_normal(state.phi.w_up.shape)
         _, hidden, _ = vlodtta.grad.adapter(proposals.features, replace(state.phi, w_up=w_up))
         phi = replace(state.phi, w_up=w_up, b_up=-(proposals.features[row] + hidden[row] @ w_up))
         with pytest.raises(NearZeroRow, match=f"^row {row} "):
-            forward(proposals, pool, phi, state.delta, lam=0.3, rho=0.5)
+            forward(proposals, pool, phi, state.delta, lam=0.3, selections=sel)
 
 
 def test_a_nearly_cancelled_row_is_scored_directly():
@@ -488,7 +516,7 @@ def test_a_nearly_cancelled_row_is_scored_directly():
     # |v|^2 + 2 v.b_up + |b_up|^2; that row must still get its true cosines
     proposals, pool, _ = _zero_init_instance(n=12, d=8)
     state = _cancelling_state(proposals, 4, 1e-6)
-    fwd = forward(proposals, pool, state.phi, state.delta, lam=0.3, rho=0.5)
+    fwd = forward(proposals, pool, state.phi, state.delta, lam=0.3, selections=_raw_selection(proposals, pool, 0.5))
     unit = normalize_rows(apply_adapter(proposals.features, state.phi))
     base = unit @ normalize_rows(proposals.class_embeddings).T
     np.testing.assert_allclose(fwd.base, base, rtol=0, atol=1e-12)

@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vlodtta.adapt import AdaptState, EpisodeConfig, fused_scores, run_baseline
+from vlodtta.adapt import EpisodeConfig, run_baseline
 from vlodtta.evaluation import evaluate
 from vlodtta.geometry import Box, iou
-from vlodtta.scoring import normalize_rows
+from vlodtta.scoring import normalize_rows, prompt_compat, select_prompts
 from vlodtta.sim import (
     _OBJ_SIZE_FRAC,
     SEED_SCALE,
@@ -219,10 +219,10 @@ def test_selection_recovers_aligned_prompts_under_shift():
         for seed in range(20):
             world = gen_world(seed, SIM, shift)
             proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
-            state = AdaptState.zero_init(proposals.d, cfg.reduction)
-            scores = fused_scores(proposals, world.pool, state.phi, state.delta, cfg)
+            unit = normalize_rows(proposals.features)
+            selections = select_prompts(prompt_compat(unit, world.pool.embeddings, np.zeros(proposals.d)), cfg.rho)
             for k in range(SIM.num_classes):
-                hit = len(set(scores.selections[k].tolist()) & set(world.aligned[k].tolist()))
+                hit = len(set(selections[k].tolist()) & set(world.aligned[k].tolist()))
                 fractions.append(hit / world.aligned.shape[1])
         mean_recovery = float(np.mean(fractions))
         assert mean_recovery >= 0.5, f"magnitude {magnitude}: recovery {mean_recovery:.3f}"
