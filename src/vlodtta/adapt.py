@@ -387,9 +387,7 @@ class SceneWork:
     def _compat(self) -> np.ndarray:
         """(K, T) mean cosine of each prompt against the image's unit feature rows, which the fresh adapter keeps."""
         v = self.proposals.features
-        mean_unit = (1.0 / np.sqrt(self.proposals.feature_sq)) @ v / v.shape[0]
-        # prompt_compat averages the unit rows it is given: here the one mean row
-        return scoring.prompt_compat(mean_unit[None], self.pool.embeddings, np.zeros(v.shape[1]))
+        return scoring.prompt_compat((1.0 / np.sqrt(self.proposals.feature_sq)) @ v / v.shape[0], self.pool.embeddings)
 
     def _pre_pass(self, cfg: EpisodeConfig) -> grad.Forward:
         for (reduction, rho, _), like in self._passes.items():

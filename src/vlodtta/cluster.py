@@ -23,7 +23,7 @@ __all__ = [
 
 
 class DegenerateWeights(ValueError):
-    """Entropy weights sum to zero; the weighted mean is undefined."""
+    """Entropy weights do not sum to a finite positive total; the weighted mean is undefined."""
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,14 @@ def build_class_graphs(
 
 
 def cluster_weights(assignment: ClusterAssignment, gamma: float) -> np.ndarray:
-    """Per-proposal weight: its component size raised to gamma."""
+    """Per-proposal weight: its component size raised to gamma (DegenerateWeights if their sum overflows)."""
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite: {gamma}")
-    return assignment.component_size.astype(float) ** float(gamma)
+    with np.errstate(over="ignore"):
+        weights = assignment.component_size.astype(float) ** float(gamma)
+        if not math.isfinite(weights.sum()):
+            raise DegenerateWeights(f"gamma={gamma} overflows the weights or their sum")
+    return weights
 
 
 def iwe_loss(entropies: np.ndarray, weights: np.ndarray) -> float:
@@ -91,7 +95,8 @@ def iwe_loss(entropies: np.ndarray, weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     if h.shape != w.shape or h.ndim != 1:
         raise ValueError(f"shape mismatch {h.shape} vs {w.shape}")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateWeights(f"weights sum to {total}; need a positive total")
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not (math.isfinite(total) and total > 0.0):
+        raise DegenerateWeights(f"weights sum to {total}; need a finite positive total")
     return float(np.dot(w, h) / total)

@@ -150,7 +150,7 @@ class ObjectiveConstants:
     """Quantities frozen before the step: entropy weights, prompt selections,
     kept-proposal indices, and the fusion/scale scalars."""
 
-    weights: np.ndarray     # (M,) per kept proposal, sum > 0
+    weights: np.ndarray     # (M,) per kept proposal, finite sum > 0
     selections: np.ndarray  # (K, n_sel) prompt indices
     kept: np.ndarray        # (M,) proposal indices into the full set
     lam: float
@@ -280,9 +280,11 @@ def forward(
     if reuse is not None and selections is reuse.selections:
         rows = reuse.prompt_rows
     else:
-        rows = scoring._prompt_rows(scoring._sorted_selection(selections, *bank.shape[:2]), bank.shape[1])
-    # the gather is a fresh array: shift and normalize it in place, it becomes the unit prompts
-    unit_prompts = scoring._take_prompts(bank, rows)
+        # rows k * T + t of the flat (K * T, d) bank for each class's selected prompts t
+        sorted_sel = scoring._sorted_selection(selections, *bank.shape[:2])
+        rows = sorted_sel + bank.shape[1] * np.arange(bank.shape[0])[:, None]
+    # one fresh float array (the bank may hold integers), shifted and normalized in place into the unit prompts
+    unit_prompts = bank.reshape(-1, bank.shape[2]).take(rows, axis=0).astype(float, copy=False)
     unit_prompts += delta
     # np.linalg.norm's operations, without its conj() copy
     prompt_norms = np.sqrt(np.add.reduce(unit_prompts * unit_prompts, axis=-1, keepdims=True))
@@ -330,21 +332,21 @@ def objective(fwd: Forward, constants: ObjectiveConstants) -> tuple[float, _Save
     """The adaptation objective at the kept rows of a forward pass: (loss, saved).
 
     The loss is the weighted mean entropy of the fused-score posteriors of
-    the kept proposals. Weights, selections, and kept indices are treated
-    as constants, so gradients flow through the entropies only.
+    the kept proposals (`cluster.iwe_loss`, which rejects a weight sum that
+    is not finite and positive). Weights, selections, and kept indices are
+    treated as constants, so gradients flow through the entropies only.
     """
     kept = np.asarray(constants.kept)
     if kept.size == 0:
         raise ValueError("no kept proposals; the objective is undefined")
     if kept.dtype.kind not in "iu":  # a float or bool array would be truncated to other rows
         raise ValueError(f"kept must hold integer proposal indices, not {kept.dtype}")
-    if np.unique(kept).size != kept.size:  # `backward` scatters per-row terms by these indices
-        raise ValueError("kept proposal indices must be distinct")
+    if kept.min() < 0 or kept.max() >= fwd.fused.shape[0] or np.unique(kept).size != kept.size:
+        # `backward` scatters per-row terms by these indices, so no row may appear twice (-1 aliases N - 1)
+        raise ValueError(f"kept must hold distinct proposal indices in [0, {fwd.fused.shape[0]})")
     weights = np.asarray(constants.weights, dtype=float)
     if weights.shape != kept.shape:
         raise ValueError(f"{weights.shape[0]} weights for {kept.shape[0]} kept proposals")
-    if weights.sum() <= 0.0:
-        raise ValueError("weights must have a positive sum")
     if constants.lam != fwd.lam or not np.array_equal(constants.selections, fwd.selections):
         raise ValueError("constants and forward pass differ in lam or prompt selections")
     p = scoring.posterior(fwd.fused[kept], constants.kappa)

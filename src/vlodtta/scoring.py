@@ -16,9 +16,7 @@ __all__ = [
     "entropy",
     "prompt_scores",
     "prompt_compat",
-    "image_prompt_compat",
     "select_prompts",
-    "selected_prompts",
     "aggregate_selected",
     "fuse",
 ]
@@ -83,67 +81,40 @@ def entropy(p: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def _prompt_inputs(
-    features: np.ndarray, pool: np.ndarray, delta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features (N, d), a (K, T, d) pool and a d-vector delta as float arrays."""
-    v = np.asarray(features, dtype=float)
-    e = np.asarray(pool, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if e.ndim != 3:
-        raise ValueError(f"pool must be (K, T, d): {e.shape}")
-    d = e.shape[2]
-    if v.ndim != 2 or v.shape[1] != d or delta.shape != (d,):
-        raise ValueError(f"incompatible shapes {v.shape}, {e.shape}, {delta.shape}")
-    return v, e, delta
-
-
 def prompt_scores(features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Cosine of each region feature against each residual-shifted prompt.
 
     pool has shape (K, T, d); delta is a single d-vector added to every
     prompt embedding before renormalization. Returns an (N, K, T) tensor.
     """
-    v, e, delta = _prompt_inputs(features, pool, delta)
+    v = np.asarray(features, dtype=float)
+    e = np.asarray(pool, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if e.ndim != 3 or v.ndim != 2 or v.shape[1] != e.shape[2] or delta.shape != (e.shape[2],):
+        raise ValueError(f"incompatible shapes {v.shape}, {e.shape}, {delta.shape}; pool must be (K, T, d)")
     num_classes, pool_size, d = e.shape
     shifted = normalize_rows(e + delta)
     z = normalize_rows(v) @ shifted.reshape(num_classes * pool_size, d).T
     return z.reshape(v.shape[0], num_classes, pool_size)
 
 
-def prompt_compat(unit_features: np.ndarray, pool: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Mean prompt score over all proposals, shape (K, T), without the (N, K, T) tensor.
+def prompt_compat(mean_unit: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Each prompt's image-level compatibility, shape (K, T): its mean cosine over the image's proposals.
 
-    The features must already be unit rows. Cosine is linear in the unit
-    feature, so the proposal mean of the prompt scores is each shifted
-    prompt against the mean unit feature u: for a prompt e, (e.u + delta.u)
-    / sqrt(|e|^2 + 2 e.delta + |delta|^2), which one (K * T, d) x (d, 2)
-    product gives without shifting the bank. It equals
-    `image_prompt_compat(prompt_scores(...))` up to rounding.
+    Cosine is linear in the unit feature, so that mean is the prompt
+    against the mean unit feature row u, which the caller passes: one
+    (K * T, d) x (d,) product over the bank, divided by the bank rows'
+    norms. It equals `prompt_scores(features, pool, 0).mean(axis=0)` up
+    to rounding, without the (N, K, T) tensor.
     """
-    v, e, delta = _prompt_inputs(unit_features, pool, delta)
-    if v.shape[0] < 1:
-        raise ValueError("expected at least one feature row")
-    num_classes, pool_size, d = e.shape
-    flat, u = e.reshape(num_classes * pool_size, d), v.mean(axis=0)
-    e_u, e_delta = (flat @ np.stack([u, delta], axis=1)).T
-    e_sq, delta_sq = np.einsum("ij,ij->i", flat, flat), delta @ delta
-    num, sq = e_u + delta @ u, e_sq + 2.0 * e_delta + delta_sq
-    # the expansion is rounding error where delta nearly cancels a prompt: shift those directly
-    near = sq <= 1e-8 * (e_sq + delta_sq)
-    num[near], sq[near] = (flat[near] + delta) @ u, np.square(flat[near] + delta).sum(axis=-1)
-    if np.any(sq <= EPS * EPS):
-        k, t = divmod(int(np.argmax(sq <= EPS * EPS)), pool_size)
-        raise NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {EPS}")
-    return (num / np.sqrt(sq)).reshape(num_classes, pool_size)
-
-
-def image_prompt_compat(z: np.ndarray) -> np.ndarray:
-    """Mean prompt score over all proposals: how well each prompt fits the image."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 3 or z.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (N, K, T) tensor: {z.shape}")
-    return z.mean(axis=0)
+    u = np.asarray(mean_unit, dtype=float)
+    e = np.asarray(pool, dtype=float)
+    if e.ndim != 3 or u.shape != (e.shape[2],):
+        raise ValueError(f"incompatible shapes {u.shape}, {e.shape}; need a d-vector and a (K, T, d) pool")
+    flat = e.reshape(-1, e.shape[2])
+    compat = flat @ u
+    compat /= norms_from_squares(np.einsum("ij,ij->i", flat, flat))[:, 0]
+    return compat.reshape(e.shape[:2])
 
 
 def select_prompts(compat: np.ndarray, rho: float) -> np.ndarray:
@@ -177,26 +148,6 @@ def _sorted_selection(selections: np.ndarray, num_classes: int, pool_size: int) 
     if duplicated.any():
         raise ValueError(f"duplicate prompt index for class {int(np.argmax(duplicated))}")
     return sorted_sel
-
-
-def _prompt_rows(sorted_sel: np.ndarray, pool_size: int) -> np.ndarray:
-    """Rows k * T + t of the flat (K * T, d) bank for each class's selected prompts t."""
-    return sorted_sel + pool_size * np.arange(sorted_sel.shape[0])[:, None]
-
-
-def _take_prompts(pool: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The (K, n_sel, d) prompts at flat bank rows (K, n_sel): one fresh float array."""
-    e = np.asarray(pool, dtype=float)
-    return e.reshape(-1, e.shape[2]).take(rows, axis=0)
-
-
-def selected_prompts(pool: np.ndarray, selections: np.ndarray) -> np.ndarray:
-    """Each class's selected prompt embeddings, shape (K, n_sel, d), in ascending index order."""
-    e = np.asarray(pool, dtype=float)
-    if e.ndim != 3:
-        raise ValueError(f"pool must be (K, T, d): {e.shape}")
-    sorted_sel = _sorted_selection(selections, e.shape[0], e.shape[1])
-    return _take_prompts(e, _prompt_rows(sorted_sel, e.shape[1]))
 
 
 def aggregate_selected(z: np.ndarray, selections: np.ndarray) -> np.ndarray:

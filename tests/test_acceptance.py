@@ -149,7 +149,7 @@ def test_criterion_03_limit_settings_collapse_as_claimed(suites):
 
     # rho = 1: aggregation over the full selection is the all-prompt mean
     z = scoring.prompt_scores(trace.pre.adapted, pool.embeddings, trace.pre.delta)
-    selections = scoring.select_prompts(scoring.image_prompt_compat(z), 1.0)
+    selections = scoring.select_prompts(z.mean(axis=0), 1.0)
     rho_ok = np.array_equal(scoring.aggregate_selected(z, selections), z.mean(axis=-1))
 
     ok = gamma_gap <= 1e-12 and theta_ok and lam_ok and rho_ok

@@ -146,6 +146,12 @@ def test_cluster_weights_power():
     np.testing.assert_array_equal(cluster_weights(out, gamma=0.0), np.ones(5))
     with pytest.raises(ValueError):
         cluster_weights(out, float("inf"))
+    # 4 ** 600 overflows, and so does the sum of four finite 4 ** 511 = 2 ** 1022:
+    # that was a RuntimeWarning, or an episode that ran on with an infinite weight
+    assert np.isfinite(cluster_weights(out, gamma=500.0).sum())
+    for gamma in (511.0, 600.0):
+        with pytest.raises(DegenerateWeights, match=rf"^gamma={gamma} overflows"):
+            cluster_weights(out, gamma=gamma)
 
 
 def test_iwe_loss_hand_value():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from vlodtta.adapt import EpisodeConfig, adapt_episode
 from vlodtta.data import (
     SCENE_JSON_KEYS,
     GroundTruth,
@@ -266,4 +267,10 @@ def test_integer_arrays_still_make_a_proposal_set_and_pool():
         np.array([[0, 0, 2, 2], [1, 1, 3, 4]]), np.array([[1, 0], [0, 2]]), np.array([[1, 0], [0, 1]], dtype=np.int32)
     )
     assert proposals.n == 2 and proposals.d == 2
-    assert PromptPool(np.ones((2, 1, 2), dtype=np.uint8)).d == 2
+    pool = PromptPool(np.array([[[1, 0], [1, 1]], [[0, 1], [2, 1]]], dtype=np.uint8))
+    assert pool.d == 2
+    # the episode scores them as floats: its prompt gather is shifted in place
+    cfg = EpisodeConfig(reduction=2, rho=0.5)
+    floats = ProposalSet(*(a.astype(float) for a in (proposals.boxes, proposals.features, proposals.class_embeddings)))
+    want = adapt_episode(floats, PromptPool(pool.embeddings.astype(float)), cfg)[1]
+    assert adapt_episode(proposals, pool, cfg)[1] == want

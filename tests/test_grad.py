@@ -12,6 +12,7 @@ import pytest
 import vlodtta.grad
 from vlodtta.adapt import AdapterParams, AdaptState, apply_adapter
 from vlodtta.checks import random_objective_instance
+from vlodtta.cluster import DegenerateWeights
 from vlodtta.data import PromptPool, ProposalSet
 from vlodtta.grad import (
     ObjectiveConstants,
@@ -30,8 +31,8 @@ from vlodtta.scoring import (
     normalize_rows,
     posterior,
     prompt_compat,
+    prompt_scores,
     select_prompts,
-    selected_prompts,
 )
 from vlodtta.sim import SEED_SCALE, ShiftSpec, SimConfig, gen_scene_proposals, gen_world
 
@@ -419,12 +420,23 @@ def test_objective_rejects_empty_kept_and_bad_weights():
     )
     with pytest.raises(ValueError, match="distinct"):
         forward_objective(proposals, pool, state, repeated)
+    # -1 and n - 1 name one row, which np.unique did not see: the loss counted it
+    # twice while backward's scatter kept one of its terms; n raised a bare IndexError
+    n = proposals.n
+    for kept in ([0, n - 1, -1], [0, n], [-n]):
+        outside = replace(constants, weights=np.ones(len(kept)), kept=np.array(kept))
+        with pytest.raises(ValueError, match=rf"^kept must hold distinct proposal indices in \[0, {n}\)"):
+            forward_objective(proposals, pool, state, outside)
+    # an infinite or NaN sum gave a NaN loss, and finite weights whose sum overflows a RuntimeWarning
+    m = constants.kept.size
+    for weights in (np.r_[np.inf, np.ones(m - 1)], np.r_[np.nan, np.ones(m - 1)], np.full(m, 1e308)):
+        with pytest.raises(DegenerateWeights, match="need a finite positive total"):
+            forward_objective(proposals, pool, state, replace(constants, weights=weights))
 
 
 def _raw_selection(proposals, pool, rho):
     """Each class's ceil(rho * T) prompts of best compatibility with the raw features."""
-    unit = normalize_rows(proposals.features)
-    return select_prompts(prompt_compat(unit, pool.embeddings, np.zeros(proposals.d)), rho)
+    return select_prompts(prompt_compat(normalize_rows(proposals.features).mean(axis=0), pool.embeddings), rho)
 
 
 def test_non_integer_selections_and_kept_are_rejected_not_truncated():
@@ -474,9 +486,12 @@ def test_forward_matches_the_normalized_adapted_rows(sim):
     for seed in range(3):
         proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
         state = _moved_state(proposals.d, 16, seed)
-        unit = normalize_rows(apply_adapter(proposals.features, state.phi))
-        sel = select_prompts(prompt_compat(unit, bank, state.delta), 0.25)
-        mean_dirs = normalize_rows(selected_prompts(bank, sel) + state.delta).mean(axis=1)
+        adapted = apply_adapter(proposals.features, state.phi)
+        unit = normalize_rows(adapted)
+        # selected at this state's delta, from the dense scores' proposal mean
+        sel = select_prompts(prompt_scores(adapted, bank, state.delta).mean(axis=0), 0.25)
+        chosen = bank[np.arange(bank.shape[0])[:, None], np.sort(sel, axis=1)]
+        mean_dirs = normalize_rows(chosen + state.delta).mean(axis=1)
         base = unit @ normalize_rows(proposals.class_embeddings).T
         pooled = unit @ mean_dirs.T
         fresh = forward(proposals, world.pool, state.phi, state.delta, lam=0.3, selections=sel)

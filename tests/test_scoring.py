@@ -16,14 +16,13 @@ from vlodtta.scoring import (
     detector_scores,
     entropy,
     fuse,
-    image_prompt_compat,
     normalize_rows,
     posterior,
     prompt_compat,
     prompt_scores,
     select_prompts,
-    selected_prompts,
 )
+from vlodtta.sim import SEED_SCALE, ShiftSpec, SimConfig, gen_scene_proposals, gen_world
 
 
 def test_normalize_rows_unit_norm():
@@ -171,54 +170,29 @@ def test_prompt_scores_rejects_bad_shapes():
         prompt_scores(np.ones((2, 4)), np.ones((2, 2, 4)), np.ones(3))
 
 
-def test_image_prompt_compat_is_proposal_mean():
-    rng = np.random.default_rng(22)
-    z = rng.normal(size=(7, 3, 5))
-    r = image_prompt_compat(z)
-    assert r.shape == (3, 5)
-    np.testing.assert_array_equal(r, z.mean(axis=0))
-    with pytest.raises(ValueError):
-        image_prompt_compat(np.zeros((0, 3, 5)))
-
-
 def test_prompt_compat_is_proposal_mean_of_prompt_scores():
-    rng = np.random.default_rng(29)
-    features = rng.normal(size=(30, 6))
-    pool = rng.normal(size=(4, 5, 6))
-    delta = rng.normal(size=6) * 0.1
-    r = prompt_compat(normalize_rows(features), pool, delta)
-    assert r.shape == (4, 5)
-    np.testing.assert_allclose(
-        r, image_prompt_compat(prompt_scores(features, pool, delta)), rtol=0.0, atol=1e-14
-    )
-
-
-def test_prompt_compat_names_a_prompt_cancelled_by_delta():
-    rng = np.random.default_rng(31)
-    features = normalize_rows(rng.normal(size=(30, 6)))
-    pool = rng.normal(size=(4, 5, 6))
-    for k in range(4):
-        for t in range(5):
-            with pytest.raises(NearZeroRow, match=rf"^class {k} prompt {t} plus delta has norm"):
-                prompt_compat(features, pool, -pool[k, t])
-    # nearly cancelled: finite, and as close to the dense scores as elsewhere
-    delta = -pool[2, 3] * (1.0 - 1e-9)
-    r = prompt_compat(features, pool, delta)
-    assert np.all(np.isfinite(r))
-    np.testing.assert_allclose(
-        r, image_prompt_compat(prompt_scores(features, pool, delta)), rtol=0.0, atol=1e-12
-    )
+    # the bank against the image's mean unit row is the proposal mean of the dense scores at a zero residual
+    coco = SimConfig(d=256, num_classes=80, pool_size=16, objects_min=10, objects_max=20, background=200)
+    for sim, n_scenes in ((SimConfig(), 5), (coco, 2)):
+        world = gen_world(0, sim, ShiftSpec(magnitude=0.5))
+        pool = world.pool.embeddings
+        for seed in range(n_scenes):
+            features = gen_scene_proposals(seed * SEED_SCALE, world)[0].features
+            compat = prompt_compat(normalize_rows(features).mean(axis=0), pool)
+            assert compat.shape == pool.shape[:2]
+            dense = prompt_scores(features, pool, np.zeros(sim.d)).mean(axis=0)
+            assert np.max(np.abs(compat - dense)) <= 1e-12
 
 
 def test_prompt_compat_rejects_bad_shapes_and_empty():
-    with pytest.raises(ValueError):
-        prompt_compat(np.ones((2, 3)), np.ones((2, 2, 4)), np.zeros(4))
-    with pytest.raises(ValueError):
-        prompt_compat(np.ones((2, 4)), np.ones((2, 4)), np.zeros(4))
-    with pytest.raises(ValueError):
-        prompt_compat(np.ones((2, 4)), np.ones((2, 2, 4)), np.zeros(3))
-    with pytest.raises(ValueError):
-        prompt_compat(np.zeros((0, 4)), np.ones((2, 2, 4)), np.zeros(4))
+    # the mean over proposals is the caller's, so the empty case left here is a prompt row with nothing in it
+    for mean_unit, pool in (
+        (np.ones(3), np.ones((2, 2, 4))), (np.ones((1, 4)), np.ones((2, 2, 4))), (np.ones(4), np.ones((2, 4))),
+    ):
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            prompt_compat(mean_unit, pool)
+    with pytest.raises(NearZeroRow):
+        prompt_compat(np.ones(4), np.zeros((2, 2, 4)))
 
 
 def test_select_prompts_counts():
@@ -262,7 +236,7 @@ def test_select_prompts_rejects_bad_rho():
 def test_aggregate_full_selection_equals_plain_mean():
     rng = np.random.default_rng(25)
     z = rng.normal(size=(9, 4, 6))
-    sel = select_prompts(image_prompt_compat(z), 1.0)
+    sel = select_prompts(z.mean(axis=0), 1.0)
     np.testing.assert_array_equal(aggregate_selected(z, sel), z.mean(axis=-1))
 
 
@@ -304,37 +278,18 @@ def test_aggregate_rejects_out_of_range_naming_the_class():
         aggregate_selected(z, np.array([[0, 1], [2, 3]]))  # one class short
 
 
-def test_selected_prompts_gathers_in_ascending_order():
-    pool = np.arange(2 * 5 * 3, dtype=float).reshape(2, 5, 3)
-    chosen = selected_prompts(pool, np.array([[4, 1], [0, 3]]))
-    assert chosen.shape == (2, 2, 3)
-    np.testing.assert_array_equal(chosen[0], pool[0, [1, 4]])
-    np.testing.assert_array_equal(chosen[1], pool[1, [0, 3]])
-
-
 def test_selected_prompts_pooled_equals_aggregate_of_full_tensor():
     rng = np.random.default_rng(30)
     features = rng.normal(size=(40, 6))
     pool = rng.normal(size=(7, 9, 6))
     delta = rng.normal(size=6) * 0.1
     sel = np.stack([rng.permutation(9)[:3] for _ in range(7)])
-    pooled = prompt_scores(features, selected_prompts(pool, sel), delta).mean(axis=-1)
+    chosen = pool[np.arange(7)[:, None], np.sort(sel, axis=1)]  # each class's selection, ascending
+    pooled = prompt_scores(features, chosen, delta).mean(axis=-1)
     assert pooled.flags["C_CONTIGUOUS"]
     np.testing.assert_array_equal(
         pooled, aggregate_selected(prompt_scores(features, pool, delta), sel)
     )
-
-
-def test_selected_prompts_rejects_what_a_gather_would_wrap():
-    pool = np.ones((2, 3, 4))
-    with pytest.raises(ValueError, match="class 1"):
-        selected_prompts(pool, np.array([[0, 1], [-1, 2]]))
-    with pytest.raises(ValueError, match="class 0"):
-        selected_prompts(pool, np.array([[0, 3], [1, 2]]))
-    with pytest.raises(ValueError, match="class 1"):
-        selected_prompts(pool, np.array([[0, 1], [2, 2]]))
-    with pytest.raises(ValueError):
-        selected_prompts(np.ones((2, 3)), np.array([[0], [1]]))
 
 
 def test_fuse_endpoints_exact():

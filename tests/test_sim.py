@@ -219,8 +219,8 @@ def test_selection_recovers_aligned_prompts_under_shift():
         for seed in range(20):
             world = gen_world(seed, SIM, shift)
             proposals, _ = gen_scene_proposals(seed * SEED_SCALE, world)
-            unit = normalize_rows(proposals.features)
-            selections = select_prompts(prompt_compat(unit, world.pool.embeddings, np.zeros(proposals.d)), cfg.rho)
+            mean_unit = normalize_rows(proposals.features).mean(axis=0)
+            selections = select_prompts(prompt_compat(mean_unit, world.pool.embeddings), cfg.rho)
             for k in range(SIM.num_classes):
                 hit = len(set(selections[k].tolist()) & set(world.aligned[k].tolist()))
                 fractions.append(hit / world.aligned.shape[1])
