@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from . import cluster, geometry, grad, scoring
-from .data import PromptPool, ProposalSet, _check_fields
+from .data import PromptPool, ProposalSet, _check_fields, _check_pool
 from .geometry import Detections
 
 __all__ = [
@@ -146,9 +145,7 @@ class EpisodeTrace:
     which the kept rows' overlap graph is built from. At lr = 0, `post is
     pre` and the rest is None; an empty episode has no passes either.
     Derived on first read: `assignment` (the graph; at gamma != 0 the one
-    the weights came from), `components`, `cluster_sizes`,
-    `cluster_count`, `grad_norms`, `selections` and both score ranges.
-    Traces compare by `to_dict`.
+    the weights came from) and `components`. Traces compare by `to_dict`.
     """
 
     loss: float
@@ -183,44 +180,20 @@ class EpisodeTrace:
         rows.sort(key=lambda r: (-r["size"], r["class_id"], -r["max_score"]))
         return rows
 
-    @functools.cached_property
-    def grad_norms(self) -> dict[str, float]:
-        return {} if self.grads is None else self.grads.norms()
-
-    @functools.cached_property
-    def selections(self) -> tuple[tuple[int, ...], ...]:
-        return () if self.pre is None else tuple(map(tuple, self.pre.selections.tolist()))
-
-    @functools.cached_property
-    def cluster_sizes(self) -> dict[int, int]:
-        """Component size -> number of components."""
-        return dict(sorted(Counter(row["size"] for row in self.components).items()))
-
-    @property
-    def cluster_count(self) -> int:
-        return sum(self.cluster_sizes.values())
-
-    @functools.cached_property
-    def pre_score_range(self) -> tuple[float, float]:
-        return (0.0, 0.0) if self.pre is None else (float(self.pre.fused.min()), float(self.pre.fused.max()))
-
-    @functools.cached_property
-    def post_score_range(self) -> tuple[float, float]:
-        return (0.0, 0.0) if self.post is None else (float(self.post.fused.min()), float(self.post.fused.max()))
-
     def __eq__(self, other: object) -> bool:
         return self.to_dict() == other.to_dict() if isinstance(other, EpisodeTrace) else NotImplemented
 
     def to_dict(self) -> dict[str, Any]:
-        dets = self.detections
+        """The episode as `vlodtta episode` dumps it; what the episode did not compute is [] or {}."""
+        dets, pre, post = self.detections, self.pre, self.post
+        grads = {} if self.grads is None else vars(self.grads)
         return {
             "loss": self.loss,
-            "grad_norms": dict(self.grad_norms),
-            "selections": [list(s) for s in self.selections],
-            "cluster_count": self.cluster_count,
-            "cluster_sizes": {str(k): v for k, v in sorted(self.cluster_sizes.items())},
-            "pre_score_range": list(self.pre_score_range),
-            "post_score_range": list(self.post_score_range),
+            "grad_norms": {name: float(np.linalg.norm(g)) for name, g in grads.items()},
+            "selections": [] if pre is None else pre.selections.tolist(),
+            "pre_fused": [] if pre is None else pre.fused.tolist(),
+            "post_fused": [] if post is None else post.fused.tolist(),
+            "clusters": [dict(row) for row in self.components],
             "detections": [
                 {"box": box, "class_id": class_id, "score": score}
                 for box, class_id, score in zip(
@@ -273,7 +246,9 @@ def adapt_episode(
     the step returns new parameters that only the post pass reads, so no
     episode depends on the ones before it.
     An empty proposal set yields no detections and no update; a zero-size
-    step (lr = 0) predicts from the pre pass and computes no objective.
+    step (lr = 0) predicts from the pre pass and computes no objective. A
+    step so large that the post pass overflows raises `scoring.NonFiniteRow`
+    naming lr.
     The trace holds what the episode computed and derives the rest on
     read (`EpisodeTrace`), so a caller that drops it pays for none of it;
     the kept rows' overlap graph is built at most once, by the weights at
@@ -307,7 +282,10 @@ def adapt_episode(
     new = _fresh_state(proposals.d, cfg.reduction).stepped(grads, cfg.lr)
     # the fresh W_up is zero, which passes W_down and b_down exact zero gradients (`grad.backward`),
     # so the step leaves them bit-identical and the post pass takes the pre pass's down-projection
-    post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=pre)
+    try:
+        post = fused_scores(proposals, pool, new.phi, new.delta, cfg, selections=pre.selections, reuse=pre)
+    except scoring.NonFiniteRow as exc:
+        raise scoring.NonFiniteRow(f"lr={cfg.lr} overflows the post pass: {exc}") from None
     detections = _predict(post.fused, proposals.boxes, cfg, overlaps)
     trace = EpisodeTrace(loss, detections, pre, post, kept, weights, grads, proposals.boxes, overlaps, cfg.theta)
     if assignment is not None:
@@ -352,10 +330,13 @@ class SceneWork:
     the new lam; a pass of the same reduction, whose down-projection and
     class scores a new rho reuses; and the overlap list, listed at its
     episode's min(theta, nms_iou) and again only for a lower one. Every
-    episode gets bit-identical results to one run without it.
+    episode gets bit-identical results to one run without it. A prompt
+    bank of another class count or feature dim is a ValueError here, before
+    any pass.
     """
 
     def __init__(self, proposals: ProposalSet, pool: PromptPool) -> None:
+        _check_pool(proposals, pool)
         self.proposals, self.pool = proposals, pool
         self._passes: dict[tuple[int, float, float], grad.Forward] = {}  # (reduction, rho, lam) -> pass
         self._overlaps: geometry.OverlapList | None = None

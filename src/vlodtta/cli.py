@@ -299,18 +299,14 @@ def cmd_episode(config_path: str, scene_index: int, out_path: str) -> int:
     suite = make_suite(0, scene_index + 1, cfg.sim, cfg.shift)
     proposals, gts = suite.scenes[scene_index]
     dets, trace = adapt_episode(proposals, suite.world.pool, cfg.episode)
-    traced = trace.to_dict()
     dump = {
         "config": run_config_to_dict(cfg),
         "scene_index": scene_index,
         "scene": scene_to_json(proposals, suite.world.pool, list(gts)),
-        **{key: traced[key] for key in ("loss", "grad_norms", "selections", "detections")},
-        "pre_fused": trace.pre.fused.tolist(),
-        "post_fused": trace.post.fused.tolist(),
-        "clusters": trace.components,
+        **trace.to_dict(),
     }
     Path(out_path).write_text(json.dumps(dump, sort_keys=True, indent=1) + "\n")
-    step = "no step (lr = 0)" if cfg.episode.lr == 0.0 else f"loss {trace.loss:.6f}, {trace.cluster_count} clusters"
+    step = "no step (lr = 0)" if cfg.episode.lr == 0.0 else f"loss {trace.loss:.6f}, {len(trace.components)} clusters"
     print(f"scene {scene_index}: {step}, {len(dets)} detections; wrote {out_path}")
     return 0
 

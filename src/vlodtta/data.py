@@ -159,7 +159,9 @@ class ProposalSet:
         for arr in (b, v, t):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("arrays must be finite")
-        sq = np.einsum("ij,ij->i", v, v)
+        # squared in float64: integer squares would wrap, and a float64 array is squared as it is
+        f = np.asarray(v, dtype=float)
+        sq = np.einsum("ij,ij->i", f, f)
         sq.flags.writeable = False
         object.__setattr__(self, "feature_sq", sq)
         small = np.sqrt(sq) <= EPS
@@ -184,10 +186,18 @@ class ProposalSet:
         return self.class_embeddings.shape[0]
 
 
+def _check_pool(proposals: ProposalSet, pool: PromptPool) -> None:
+    """Raise ValueError unless the prompt pool has the proposal set's class count and feature dim."""
+    if pool.num_classes != proposals.num_classes or pool.d != proposals.d:
+        raise ValueError(
+            f"prompt pool does not match the proposal set: (K, T, d) = {pool.embeddings.shape}"
+            f" for K = {proposals.num_classes}, d = {proposals.d}"
+        )
+
+
 def scene_to_json(proposals: ProposalSet, pool: PromptPool, gts: list[GroundTruth]) -> dict:
     """Serialize one scene to the documented JSON layout."""
-    if pool.num_classes != proposals.num_classes or pool.d != proposals.d:
-        raise ValueError("prompt pool does not match the proposal set")
+    _check_pool(proposals, pool)
     for gt in gts:  # what scene_from_json accepts back
         _check_fields(vars(gt), class_id=f"int in [0, {proposals.num_classes - 1}]")
     return {

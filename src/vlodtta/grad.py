@@ -141,9 +141,6 @@ class Gradients:
     b_up: np.ndarray
     delta: np.ndarray
 
-    def norms(self) -> dict[str, float]:
-        return {f.name: float(np.linalg.norm(getattr(self, f.name))) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ObjectiveConstants:

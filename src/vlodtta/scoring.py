@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "EPS",
     "NearZeroRow",
+    "NonFiniteRow",
     "normalize_rows",
     "norms_from_squares",
     "detector_scores",
@@ -28,11 +29,23 @@ class NearZeroRow(ValueError):
     """A row has L2 norm too close to zero to normalize."""
 
 
+class NonFiniteRow(ValueError):
+    """A row's squared norm is infinite or NaN: computing it overflowed."""
+
+
 def norms_from_squares(sq: np.ndarray) -> np.ndarray:
-    """(N, 1) row norms from the (N,) squared norms; NearZeroRow names the first row at <= EPS."""
+    """(N, 1) row norms from the (N,) squared norms.
+
+    NearZeroRow names the first row at <= EPS, NonFiniteRow the first whose
+    squared norm is not finite, which every score of the row would then be.
+    """
     small = sq <= EPS * EPS
     if np.any(small):
         raise NearZeroRow(f"row {int(np.argmax(small))} has norm <= {EPS}; cannot normalize")
+    bad = ~np.isfinite(sq)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise NonFiniteRow(f"row {row} has squared norm {sq[row]}; cannot normalize")
     return np.sqrt(sq)[:, None]
 
 

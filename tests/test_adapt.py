@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -156,7 +157,7 @@ def test_episode_resets_parameters_exactly():
     before = _state_bytes(fresh)
     assert before == _state_bytes(AdaptState.zero_init(proposals.d, CFG.reduction))
     _, trace = adapt_episode(proposals, world.pool, CFG)
-    assert any(v > 0 for v in trace.grad_norms.values())  # a step really happened
+    assert any(v > 0 for v in trace.to_dict()["grad_norms"].values())  # a step really happened
     assert _state_bytes(fresh) == before
 
 
@@ -319,7 +320,8 @@ def test_lr_zero_episode_is_bit_identical_to_no_adaptation():
     pre = fused_scores(proposals, world.pool, state.phi, state.delta, cfg, sel)
     expected = _predict_with_public_api(pre.fused, proposals.boxes, cfg)
     assert dets == expected
-    assert trace.pre_score_range == trace.post_score_range
+    dump = trace.to_dict()
+    assert dump["post_fused"] == dump["pre_fused"]
 
 
 def test_episode_is_deterministic():
@@ -327,8 +329,7 @@ def test_episode_is_deterministic():
     dets_a, trace_a = adapt_episode(proposals, world.pool, CFG)
     dets_b, trace_b = adapt_episode(proposals, world.pool, CFG)
     assert dets_a == dets_b
-    assert trace_a.loss == trace_b.loss
-    assert trace_a.grad_norms == trace_b.grad_norms
+    assert trace_a == trace_b  # loss, gradient norms, selections, both score arrays and the clusters
 
 
 def test_constants_frozen_one_call_each(monkeypatch):
@@ -405,36 +406,44 @@ def test_a_gamma_zero_trace_builds_the_graph_once_when_read(monkeypatch):
     built.clear()
     _, trace = adapt_episode(proposals, world.pool, cfg)
     assert built == []
-    sizes = trace.cluster_sizes
+    clusters = trace.to_dict()["clusters"]
     assert len(built) == 1
-    assert trace.cluster_sizes is sizes and trace.cluster_count == sum(sizes.values()) and len(built) == 1
+    assert trace.to_dict()["clusters"] == clusters and len(built) == 1
     kept = trace.kept
     want = real(proposals.boxes[kept], vlodtta.cluster.predicted_classes(trace.pre.fused[kept]), cfg.theta)
-    _, first = np.unique(want.component_id, return_index=True)
-    assert sizes == dict(zip(*(v.tolist() for v in np.unique(want.component_size[first], return_counts=True))))
+    roots = np.unique(want.component_id)
+    assert sorted(row["size"] for row in clusters) == sorted(want.component_size[roots].tolist())
     assert trace == read
 
 
 def test_trace_fields_are_computed_on_read(monkeypatch):
-    calls = []
-    real = vlodtta.grad.Gradients.norms
-
-    def counting(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(vlodtta.grad.Gradients, "norms", counting)
+    # gradient norms are computed only by `to_dict`, and the overlap graph of
+    # a gamma = 0 episode only by a cluster read: a caller that drops the
+    # trace pays for neither
+    reads, built, traces = [], [], []
+    real_to_dict, real_graphs = vlodtta.adapt.EpisodeTrace.to_dict, vlodtta.cluster.build_class_graphs
+    monkeypatch.setattr(vlodtta.adapt.EpisodeTrace, "to_dict", lambda self: reads.append(self) or real_to_dict(self))
+    monkeypatch.setattr(vlodtta.cluster, "build_class_graphs", lambda *a, **k: built.append(a) or real_graphs(*a, **k))
     world, proposals, _ = _scene(seed=5)
-    _, trace = adapt_episode(proposals, world.pool, CFG)
-    assert calls == []
-    norms = trace.grad_norms
-    assert trace.grad_norms is norms and len(calls) == 1
-    assert set(norms) == {"w_down", "b_down", "w_up", "b_up", "delta"}
-    calls.clear()
+    _, trace = adapt_episode(proposals, world.pool, baseline_config("entropy_adapter", CFG))
+    assert reads == [] and built == [] and trace.grads is not None
+    assert set(trace.to_dict()["grad_norms"]) == {"w_down", "b_down", "w_up", "b_up", "delta"}
+    assert len(built) == 1  # the dump's clusters
+    reads.clear()
+    built.clear()
+
+    def keeping(*a, **k):
+        traces.append(adapt_episode(*a, **k)[1])
+        return traces[-1].detections, traces[-1]
+
+    monkeypatch.setattr(vlodtta.cli, "adapt_episode", keeping)
     suite = make_suite(2, 3, SimConfig(), ShiftSpec(magnitude=0.5))
     cfgs = [CFG, *(baseline_config(kind, CFG) for kind in ("zero_shot", "entropy_adapter", "prompt_average"))]
     reports = vlodtta.cli._suite_reports(cfgs, suite, measure_time=False)
-    assert len(reports) == 4 and calls == []
+    assert len(reports) == 4 and len(traces) == 4 * len(suite.scenes) and reads == []
+    # one graph per full-method episode, for its weights; none for a cluster read
+    assert len(built) == len(suite.scenes)
+    assert not any("components" in vars(t) for t in traces)
 
 
 @pytest.mark.parametrize("kind", ["full", "entropy_adapter", "zero_shot", "empty"])
@@ -460,12 +469,13 @@ def test_episode_trace_contents():
     world, proposals, _ = _scene(seed=4)
     dets, trace = adapt_episode(proposals, world.pool, CFG)
     k, t = world.pool.num_classes, world.pool.pool_size
-    assert len(trace.selections) == k
-    assert all(len(row) == math.ceil(CFG.rho * t) for row in trace.selections)
-    assert sum(trace.cluster_sizes.values()) == trace.cluster_count
-    assert trace.pre_score_range[0] <= trace.pre_score_range[1]
-    assert len(trace.detections) == len(dets)
-    json.dumps(trace.to_dict())  # must be wire-ready
+    dump = trace.to_dict()
+    assert dump["selections"] == trace.pre.selections.tolist() and len(dump["selections"]) == k
+    assert all(len(row) == math.ceil(CFG.rho * t) for row in dump["selections"])
+    assert dump["clusters"] == trace.components and sum(row["size"] for row in dump["clusters"]) == trace.kept.size
+    assert dump["pre_fused"] == trace.pre.fused.tolist() and dump["post_fused"] == trace.post.fused.tolist()
+    assert len(dump["detections"]) == len(trace.detections) == len(dets)
+    json.dumps(dump)  # must be wire-ready
 
 
 def test_episode_detections_are_one_record_and_dump_as_their_objects():
@@ -669,7 +679,7 @@ def test_a_stepped_episode_allocates_less_than_one_feature_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.grad_norms["w_up"] > 0.0
+        assert trace.to_dict()["grad_norms"]["w_up"] > 0.0
         assert peak < proposals.features.nbytes, (seed, peak, proposals.features.nbytes)
         for name in ("pre", "post"):
             record = getattr(trace, name)
@@ -735,6 +745,19 @@ def test_an_episode_whose_cluster_weights_overflow_names_gamma():
     assert math.isfinite(adapt_episode(proposals, world.pool, replace(CFG, gamma=100.0))[1].loss)
 
 
+def test_a_step_that_overflows_the_post_pass_names_lr():
+    # from lr = 1e155 the post pass's squared norms overflow, and the rows whose scores turned
+    # NaN were dropped before NMS: 29 and 17 detections at 1e155 and 1e160 against 47 at 1e150
+    suite = make_suite(0, 1, SimConfig(), ShiftSpec(magnitude=0.5))
+    (proposals, _), pool = suite.scenes[0], suite.world.pool
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert len(adapt_episode(proposals, pool, replace(CFG, lr=1e150))[0]) == 47
+        for lr in (1e155, 1e160):
+            message = "^" + re.escape(f"lr={lr} overflows the post pass: row ")
+            with pytest.raises(vlodtta.scoring.NonFiniteRow, match=message):
+                adapt_episode(proposals, pool, replace(CFG, lr=lr))
+
+
 def test_zero_step_episode_reuses_the_pre_pass():
     world, proposals, _ = _scene(seed=4)
     _, frozen = adapt_episode(proposals, world.pool, replace(CFG, lr=0.0))
@@ -745,11 +768,11 @@ def test_zero_step_episode_reuses_the_pre_pass():
     assert stepped.post is not stepped.pre
     # a zero-size step ends after the pre pass: no objective, no gradient and
     # no clusters, reported as an empty episode reports them
-    assert frozen.loss == 0.0 and frozen.grad_norms == {}
-    assert frozen.cluster_count == 0 and frozen.cluster_sizes == {}
-    assert stepped.loss > 0.0 and stepped.grad_norms["w_up"] > 0.0
-    assert frozen.selections == stepped.selections
-    assert frozen.pre_score_range == frozen.post_score_range == stepped.pre_score_range
+    frozen_dump, stepped_dump = frozen.to_dict(), stepped.to_dict()
+    assert frozen.loss == 0.0 and frozen_dump["grad_norms"] == {} and frozen_dump["clusters"] == []
+    assert stepped.loss > 0.0 and stepped_dump["grad_norms"]["w_up"] > 0.0
+    assert frozen_dump["selections"] == stepped_dump["selections"]
+    assert frozen_dump["post_fused"] == frozen_dump["pre_fused"] == stepped_dump["pre_fused"]
 
 
 def test_post_pass_reuses_frozen_selection():
@@ -789,7 +812,10 @@ def test_empty_proposals_no_update():
     dets, trace = adapt_episode(empty, world.pool, CFG)
     assert dets == []
     assert trace.loss == 0.0
-    assert trace.cluster_count == 0
+    assert trace.to_dict() == {
+        "loss": 0.0, "grad_norms": {}, "selections": [], "pre_fused": [], "post_fused": [], "clusters": [],
+        "detections": [],
+    }
 
 
 def test_single_step_descends_for_small_enough_lr():
@@ -917,6 +943,28 @@ def test_shared_scene_work_rejects_another_image():
     with pytest.raises(ValueError, match="another image"):
         adapt_episode(other, world.pool, CFG, shared=shared)
     assert _episode_bits(proposals, world.pool, CFG, shared=shared) == _episode_bits(proposals, world.pool, CFG)
+
+
+@pytest.mark.parametrize("bank", ["K+2", "K-2", "d/2"])
+def test_a_prompt_bank_of_another_shape_fails_before_any_pass(monkeypatch, bank):
+    # a bank of another class count used to fail in `scoring.fuse` after the pre pass's
+    # products, and one of another d inside the lazy prompt compatibility
+    passes = []
+    real = vlodtta.grad.forward
+    monkeypatch.setattr(vlodtta.grad, "forward", lambda *a, **k: passes.append(a) or real(*a, **k))
+    world, proposals, gts = _scene(seed=0)
+    e = world.pool.embeddings
+    pool = PromptPool({"K+2": np.concatenate([e, e[:2]]), "K-2": e[:-2], "d/2": e[..., : e.shape[2] // 2]}[bank])
+    message = r"^prompt pool does not match the proposal set: \(K, T, d\) = "
+    for call in (
+        lambda: SceneWork(proposals, pool),
+        lambda: adapt_episode(proposals, pool, CFG),
+        lambda: run_baseline("prompt_average", proposals, pool, CFG),
+        lambda: vlodtta.data.scene_to_json(proposals, pool, list(gts)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert passes == []
 
 
 def test_one_scene_work_serves_two_reductions_and_a_lower_threshold(monkeypatch):

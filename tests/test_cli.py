@@ -13,10 +13,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import vlodtta
-from vlodtta.adapt import EpisodeConfig
+from vlodtta.adapt import EpisodeConfig, adapt_episode
 from vlodtta.cli import (
     CSV_COLUMNS,
     EPISODE_DUMP_SCHEMA,
@@ -32,7 +33,8 @@ from vlodtta.cli import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from vlodtta.sim import ShiftSpec, SimConfig
+from vlodtta.data import ProposalSet
+from vlodtta.sim import ShiftSpec, SimConfig, make_suite
 
 
 def _doc(**over) -> dict:
@@ -406,6 +408,18 @@ def test_episode_dump_validates_and_is_consistent(tmp_path, capsys):
     assert n <= 600 and sum(sizes) == n  # everything kept at this scale
     for det in dump["detections"]:
         assert 0 <= det["class_id"] < 6 and det["score"] > 0.0
+
+
+def test_episode_dump_schema_is_the_scene_plus_the_trace():
+    # the dump is `EpisodeTrace.to_dict()` behind the config and the scene, whatever the episode ran;
+    # the schema admits no other key (`test_episode_dump_validates_and_is_consistent`)
+    suite = make_suite(0, 1, SimConfig(), ShiftSpec(magnitude=0.5))
+    proposals, _ = suite.scenes[0]
+    empty = ProposalSet(np.zeros((0, 4)), np.zeros((0, proposals.d)), proposals.class_embeddings)
+    for scene in (proposals, empty):
+        for lr in (0.0, 0.01):
+            traced = adapt_episode(scene, suite.world.pool, EpisodeConfig(lr=lr))[1].to_dict()
+            assert EPISODE_DUMP_SCHEMA["required"] == ["config", "scene_index", "scene", *traced]
 
 
 def test_episode_dump_is_deterministic(tmp_path, capsys):

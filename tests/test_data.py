@@ -262,6 +262,25 @@ def test_prompt_pool_rejects_embeddings_that_are_not_a_real_array(value, fragmen
         PromptPool(value(pool.embeddings))
 
 
+@pytest.mark.parametrize("scale", [1, 10**9])
+def test_integer_features_give_the_bits_of_their_float_copy(scale):
+    # int64 squares wrap past 2**63: at 1e9 with d = 16 a squared norm of 5.3e19 read -2.3e18,
+    # whose NaN norm passed the zero-row check and failed the episode later as a zero row
+    rng = np.random.default_rng(7)
+    features = rng.integers(-scale, scale, size=(6, 16), endpoint=True)
+    features[0] = int(1.82 * scale)
+    xy = rng.uniform(0, 50, size=(6, 2))
+    boxes = np.concatenate([xy, xy + rng.uniform(1, 20, size=(6, 2))], axis=1)
+    class_embeddings = rng.normal(size=(3, 16))
+    ints = ProposalSet(boxes, features, class_embeddings)
+    floats = ProposalSet(boxes, features.astype(float), class_embeddings)
+    assert ints.feature_sq.dtype == np.float64
+    assert ints.feature_sq.tobytes() == floats.feature_sq.tobytes()
+    pool = PromptPool(rng.normal(size=(3, 4, 16)))
+    cfg = EpisodeConfig(reduction=4, rho=0.5)
+    assert adapt_episode(ints, pool, cfg)[1] == adapt_episode(floats, pool, cfg)[1]
+
+
 def test_integer_arrays_still_make_a_proposal_set_and_pool():
     proposals = ProposalSet(
         np.array([[0, 0, 2, 2], [1, 1, 3, 4]]), np.array([[1, 0], [0, 2]]), np.array([[1, 0], [0, 1]], dtype=np.int32)

@@ -12,11 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 from vlodtta.scoring import (
     NearZeroRow,
+    NonFiniteRow,
     aggregate_selected,
     detector_scores,
     entropy,
     fuse,
     normalize_rows,
+    norms_from_squares,
     posterior,
     prompt_compat,
     prompt_scores,
@@ -44,6 +46,16 @@ def test_normalize_rows_names_first_bad_row():
     bank[1, 2] = 0.0
     with pytest.raises(NearZeroRow, match=r"row \(1, 2\) "):
         normalize_rows(bank)
+
+
+def test_norms_from_squares_rejects_a_square_that_is_not_finite():
+    # an overflowing pass reaches here as an infinite or NaN square; its row's scores would all be NaN
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NonFiniteRow, match=rf"^row 1 has squared norm {bad}; cannot normalize$"):
+            norms_from_squares(np.array([4.0, bad, 9.0]))
+    with pytest.raises(NearZeroRow, match=r"^row 0 "):
+        norms_from_squares(np.array([0.0, math.inf]))
+    np.testing.assert_array_equal(norms_from_squares(np.array([4.0, 9.0, 1e300])), [[2.0], [3.0], [1e150]])
 
 
 def test_normalize_rows_3d():
