@@ -53,8 +53,7 @@ class AdapterParams:
         zero; the down-projection starts at small random values so both
         layers receive gradient on the very first step.
         """
-        if reduction < 1 or d % reduction != 0:
-            raise ValueError(f"feature dim {d} must be divisible by reduction {reduction}")
+        adapter_param_count(d, reduction)  # raises for a reduction that does not divide d
         hidden = d // reduction
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((0, d, reduction))))
         w_down = rng.standard_normal((d, hidden)) / math.sqrt(d)
@@ -245,7 +244,8 @@ def adapt_episode(
     `AdaptState.zero_init(d, reduction)`, drawn once per (d, reduction);
     the step returns new parameters that only the post pass reads, so no
     episode depends on the ones before it.
-    An empty proposal set yields no detections and no update; a zero-size
+    An empty proposal set yields no detections and no update (a prompt
+    bank of another shape is still a ValueError); a zero-size
     step (lr = 0) predicts from the pre pass and computes no objective. A
     step so large that the post pass overflows raises `scoring.NonFiniteRow`
     naming lr.
@@ -260,6 +260,7 @@ def adapt_episode(
     with bit-identical results, or else one built for this episode alone.
     """
     if proposals.n == 0:
+        _check_pool(proposals, pool)  # what SceneWork checks for every other scene
         trace = EpisodeTrace(loss=0.0, detections=Detections.empty())
         return trace.detections, trace
 

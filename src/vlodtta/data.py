@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box
-from .scoring import EPS, NearZeroRow
+from .geometry import Box, _check_box_order, _check_finite, _check_kind
+from .scoring import norms_from_squares
 
 __all__ = [
     "GroundTruth",
@@ -69,27 +69,12 @@ def _check_fields(values: dict, /, error: type[ValueError] = ValueError, **specs
             raise error(f"{name} must be {bound}: {value!r}")
 
 
-def _check_arrays(values: dict, *names: str) -> None:
-    """Raise ValueError naming the first of `names` that is not an ndarray of integers or floats."""
-    for name in names:
-        value = values[name]
-        if not isinstance(value, np.ndarray) or value.dtype.kind not in "iuf":
-            what = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
-            raise ValueError(f"{name} must be an integer or float array, not {what}")
-
-
 def _floats(value, what: str) -> np.ndarray:
     """A JSON value as a float array; one that is not numbers raises ValueError naming `what`."""
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be numbers: {exc}") from None
-
-
-def _first_zero_row(m: np.ndarray) -> list[int] | None:
-    """Index of the first vector along the last axis that cannot be normalized, if any."""
-    bad = np.linalg.norm(m, axis=-1) <= EPS
-    return np.argwhere(bad)[0].tolist() if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -107,22 +92,20 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class PromptPool:
-    """Per-class bank of prompt embeddings, shape (K, T, d)."""
+    """Per-class bank of prompt embeddings, shape (K, T, d), held as float64."""
 
     embeddings: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_arrays(vars(self), "embeddings")
-        e = self.embeddings
+        _check_kind("embeddings", self.embeddings)
+        e = np.asanyarray(self.embeddings, dtype=float)
+        object.__setattr__(self, "embeddings", e)
         if e.ndim != 3:
             raise ValueError("embeddings must be a (K, T, d) array")
         if e.shape[0] < 2 or e.shape[1] < 1 or e.shape[2] < 2:
             raise ValueError(f"need K >= 2, T >= 1, d >= 2: {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("embeddings must be finite")
-        zero = _first_zero_row(e)
-        if zero is not None:
-            raise NearZeroRow(f"class {zero[0]} prompt {zero[1]} has norm <= {EPS}")
+        _check_finite("embeddings", e)
+        norms_from_squares(np.einsum("ijk,ijk->ij", e, e), lambda k, t: f"class {k} prompt {t}")
 
     @property
     def num_classes(self) -> int:
@@ -139,7 +122,7 @@ class PromptPool:
 
 @dataclass(frozen=True)
 class ProposalSet:
-    """One image's candidate boxes, region features, and class embeddings."""
+    """One image's candidate boxes, region features, and class embeddings, held as float64."""
 
     boxes: np.ndarray             # (N, 4) as x1, y1, x2, y2
     features: np.ndarray          # (N, d)
@@ -148,7 +131,9 @@ class ProposalSet:
     feature_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_arrays(vars(self), "boxes", "features", "class_embeddings")
+        for name in ("boxes", "features", "class_embeddings"):
+            _check_kind(name, getattr(self, name))
+            object.__setattr__(self, name, np.asanyarray(getattr(self, name), dtype=float))
         b, v, t = self.boxes, self.features, self.class_embeddings
         if b.ndim != 2 or b.shape[1] != 4:
             raise ValueError(f"boxes must be (N, 4): {b.shape}")
@@ -156,22 +141,14 @@ class ProposalSet:
             raise ValueError(f"features must be (N, d): {v.shape} for {b.shape[0]} boxes")
         if t.ndim != 2 or t.shape[1] != v.shape[1] or t.shape[0] < 2 or t.shape[1] < 2:
             raise ValueError(f"class embeddings must be (K>=2, d>=2): {t.shape}")
-        for arr in (b, v, t):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("arrays must be finite")
-        # squared in float64: integer squares would wrap, and a float64 array is squared as it is
-        f = np.asarray(v, dtype=float)
-        sq = np.einsum("ij,ij->i", f, f)
+        for name in ("boxes", "features", "class_embeddings"):
+            _check_finite(name, getattr(self, name))
+        sq = np.einsum("ij,ij->i", v, v)
         sq.flags.writeable = False
         object.__setattr__(self, "feature_sq", sq)
-        small = np.sqrt(sq) <= EPS
-        if small.any():
-            raise NearZeroRow(f"feature row {int(np.argmax(small))} has norm <= {EPS}")
-        zero = _first_zero_row(t)
-        if zero is not None:
-            raise NearZeroRow(f"class {zero[0]} embedding has norm <= {EPS}")
-        if b.shape[0] and not (np.all(b[:, 0] < b[:, 2]) and np.all(b[:, 1] < b[:, 3])):
-            raise ValueError("every box needs x1 < x2 and y1 < y2")
+        norms_from_squares(sq, lambda i: f"feature row {i}")
+        norms_from_squares(np.einsum("ij,ij->i", t, t), lambda k: f"class {k} embedding")
+        _check_box_order(b)
 
     @property
     def n(self) -> int:

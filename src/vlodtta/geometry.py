@@ -53,6 +53,25 @@ class Detection:
             raise ValueError(f"class_id must be non-negative: {self.class_id}")
 
 
+def _check_kind(name: str, value, kinds: str = "iuf") -> None:
+    """Raise ValueError naming `name` unless `value` is an ndarray of integers or floats (of integers for "iu")."""
+    if not isinstance(value, np.ndarray) or value.dtype.kind not in kinds:
+        got = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
+        raise ValueError(f"{name} must be {'an integer' if kinds == 'iu' else 'an integer or float'} array, not {got}")
+
+
+def _check_finite(name: str, value: np.ndarray) -> None:
+    """Raise ValueError naming `name` unless every entry of `value` is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_box_order(boxes: np.ndarray) -> None:
+    """Raise ValueError unless every (x1, y1, x2, y2) row has x1 < x2 and y1 < y2."""
+    if not (boxes[:, :2] < boxes[:, 2:]).all():
+        raise ValueError("boxes must have x1 < x2 and y1 < y2 in every row")
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Detections as read-only arrays: `boxes (n, 4)`, `scores (n,)` and `classes (n,)`.
@@ -69,20 +88,14 @@ class Detections:
     classes: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, kinds, what in (("boxes", "iuf", "an integer or float"), ("scores", "iuf", "an integer or float"),
-                                  ("classes", "iu", "an integer")):
-            value = getattr(self, name)
-            if not isinstance(value, np.ndarray) or value.dtype.kind not in kinds:
-                got = f"{value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
-                raise ValueError(f"{name} must be {what} array, not {got}")
+        for name, kinds in (("boxes", "iuf"), ("scores", "iuf"), ("classes", "iu")):
+            _check_kind(name, getattr(self, name), kinds)
         n = self.scores.size
         if self.boxes.shape != (n, 4) or self.scores.shape != (n,) or self.classes.shape != (n,):
             raise ValueError(f"{self.boxes.shape} boxes vs {self.scores.shape} scores vs {self.classes.shape} classes")
-        for name in ("boxes", "scores"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
-        if not (self.boxes[:, :2] < self.boxes[:, 2:]).all():  # x1 < x2 and y1 < y2
-            raise ValueError("boxes must have x1 < x2 and y1 < y2 in every row")
+        _check_finite("boxes", self.boxes)
+        _check_finite("scores", self.scores)
+        _check_box_order(self.boxes)
         if (self.classes < 0).any():
             raise ValueError("classes must be non-negative")
         for name in ("boxes", "scores", "classes"):

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import cluster, scoring
+from .data import _check_pool
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adapt import AdapterParams, AdaptState
@@ -242,11 +243,12 @@ def forward(
     `class_dirs` and `feature_class` are taken as they are, and its
     `prompt_rows` when `selections is reuse.selections`.
     """
+    _check_pool(proposals, pool)
     v = proposals.features
     bank = pool.embeddings
     delta = np.array(delta, dtype=float)
-    if bank.shape[2] != v.shape[1] or delta.shape != (bank.shape[2],):
-        raise ValueError(f"incompatible shapes {v.shape}, {bank.shape}, {delta.shape}")
+    if delta.shape != (bank.shape[2],):
+        raise ValueError(f"delta must be a {bank.shape[2]}-vector: {delta.shape}")
     feature_sq = proposals.feature_sq
     if reuse is None:
         pre, hidden = _down(v, phi)
@@ -280,15 +282,14 @@ def forward(
         # rows k * T + t of the flat (K * T, d) bank for each class's selected prompts t
         sorted_sel = scoring._sorted_selection(selections, *bank.shape[:2])
         rows = sorted_sel + bank.shape[1] * np.arange(bank.shape[0])[:, None]
-    # one fresh float array (the bank may hold integers), shifted and normalized in place into the unit prompts
-    unit_prompts = bank.reshape(-1, bank.shape[2]).take(rows, axis=0).astype(float, copy=False)
+    # one fresh array (`take` copies), shifted and normalized in place into the unit prompts
+    unit_prompts = bank.reshape(-1, bank.shape[2]).take(rows, axis=0)
     unit_prompts += delta
     # np.linalg.norm's operations, without its conj() copy
-    prompt_norms = np.sqrt(np.add.reduce(unit_prompts * unit_prompts, axis=-1, keepdims=True))
-    if np.any(prompt_norms <= scoring.EPS):
-        k, s = np.argwhere(prompt_norms[..., 0] <= scoring.EPS)[0]
-        t = rows[k, s] - k * bank.shape[1]
-        raise scoring.NearZeroRow(f"class {k} prompt {t} plus delta has norm <= {scoring.EPS}")
+    prompt_norms = scoring.norms_from_squares(
+        np.add.reduce(unit_prompts * unit_prompts, axis=-1),
+        lambda k, s: f"class {k} prompt {rows[k, s] - k * bank.shape[1]} plus delta",
+    )
     unit_prompts /= prompt_norms
     mean_dirs = unit_prompts.mean(axis=1)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -33,32 +34,35 @@ class NonFiniteRow(ValueError):
     """A row's squared norm is infinite or NaN: computing it overflowed."""
 
 
-def norms_from_squares(sq: np.ndarray) -> np.ndarray:
-    """(N, 1) row norms from the (N,) squared norms.
+def _row(*index: int) -> str:
+    """What an error calls the row at `index`: `row 3`, or `row (1, 2)` in a stack of rows."""
+    return f"row {index[0] if len(index) == 1 else index}"
 
-    NearZeroRow names the first row at <= EPS, NonFiniteRow the first whose
-    squared norm is not finite, which every score of the row would then be.
+
+def norms_from_squares(sq: np.ndarray, name: Callable[..., str] = _row) -> np.ndarray:
+    """(..., 1) row norms from the (...,) squared norms of rows along a last axis.
+
+    The one rule for which rows can be normalized: NearZeroRow names the
+    first row at norm <= EPS, else NonFiniteRow the first whose squared norm
+    is infinite or NaN (an overflowed sum, whose scores would all be NaN).
+    `name(*index)` is what the error calls the row at `index`.
     """
-    small = sq <= EPS * EPS
-    if np.any(small):
-        raise NearZeroRow(f"row {int(np.argmax(small))} has norm <= {EPS}; cannot normalize")
-    bad = ~np.isfinite(sq)
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise NonFiniteRow(f"row {row} has squared norm {sq[row]}; cannot normalize")
-    return np.sqrt(sq)[:, None]
+    ok = (sq > EPS * EPS) & (sq < math.inf)  # NaN fails both
+    if not ok.all():
+        sq, ok = np.atleast_1d(sq, ok)
+        small = sq <= EPS * EPS
+        where = tuple(np.argwhere(small if small.any() else ~ok)[0].tolist())
+        if small.any():
+            raise NearZeroRow(f"{name(*where)} has norm <= {EPS}; cannot normalize")
+        raise NonFiniteRow(f"{name(*where)} has squared norm {sq[where]}; cannot normalize")
+    return np.sqrt(sq)[..., None]
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each vector along the last axis to unit L2 norm."""
     m = np.asarray(m, dtype=float)
     out = m * m  # np.linalg.norm's own sum of squares, in a buffer the unit rows then reuse
-    norms = np.sqrt(out.sum(axis=-1, keepdims=True))
-    if np.any(norms <= EPS):
-        where = np.argwhere(np.atleast_1d(norms[..., 0] <= EPS))[0].tolist()
-        row = where[0] if len(where) == 1 else tuple(where)
-        raise NearZeroRow(f"row {row} has norm <= {EPS}; cannot normalize")
-    return np.divide(m, norms, out=out)
+    return np.divide(m, norms_from_squares(out.sum(axis=-1)), out=out)
 
 
 def detector_scores(features: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:

@@ -721,6 +721,17 @@ def test_a_delta_that_cancels_a_prompt_names_its_class_and_prompt():
                 fused_scores(proposals, world.pool, state.phi, delta, CFG, selections=sel)
 
 
+def test_a_delta_that_overflows_names_its_class_and_prompt():
+    # every selected prompt plus a 1e200 delta has an infinite squared norm; unchecked, its unit
+    # prompts were 0 and every pooled score 0, without an error
+    world, proposals, _ = _scene(seed=14)
+    state = AdaptState.zero_init(proposals.d, CFG.reduction)
+    selections = _fresh_selection(proposals, world.pool, CFG.rho)
+    message = rf"^class 0 prompt {selections[0].min()} plus delta has squared norm inf"
+    with np.errstate(over="ignore"), pytest.raises(vlodtta.scoring.NonFiniteRow, match=message):
+        fused_scores(proposals, world.pool, state.phi, np.full(proposals.d, 1e200), CFG, selections=selections)
+
+
 @pytest.mark.parametrize("sim,seeds", [(SimConfig(), (0, 1, 2)), (COCO_SIM, (0,))], ids=["desk", "coco"])
 def test_zero_step_detections_ignore_power_of_two_feature_scaling(sim, seeds):
     # cosine scores do not see a feature row's length; a power-of-two
@@ -956,9 +967,12 @@ def test_a_prompt_bank_of_another_shape_fails_before_any_pass(monkeypatch, bank)
     e = world.pool.embeddings
     pool = PromptPool({"K+2": np.concatenate([e, e[:2]]), "K-2": e[:-2], "d/2": e[..., : e.shape[2] // 2]}[bank])
     message = r"^prompt pool does not match the proposal set: \(K, T, d\) = "
+    # an empty scene returns before any pass, but not before the check
+    empty = ProposalSet(np.zeros((0, 4)), np.zeros((0, proposals.d)), proposals.class_embeddings)
     for call in (
         lambda: SceneWork(proposals, pool),
         lambda: adapt_episode(proposals, pool, CFG),
+        lambda: adapt_episode(empty, pool, CFG),
         lambda: run_baseline("prompt_average", proposals, pool, CFG),
         lambda: vlodtta.data.scene_to_json(proposals, pool, list(gts)),
     ):

@@ -17,7 +17,7 @@ from vlodtta.data import (
     scene_to_json,
 )
 from vlodtta.geometry import Box
-from vlodtta.scoring import NearZeroRow, normalize_rows
+from vlodtta.scoring import NearZeroRow, NonFiniteRow, normalize_rows
 
 
 def _sample_scene(seed=0, n=7, k=3, t=4, d=5):
@@ -73,30 +73,37 @@ def test_prompt_pool_rejects_small_dims():
         PromptPool(np.ones((3, 4)))
 
 
+# a zero row cannot be normalized, and neither can a finite one whose squared norm overflows
+CANNOT_NORMALIZE = ((0.0, NearZeroRow), (1e200, NonFiniteRow))
+
+
 def test_proposal_set_rejects_zero_feature_row():
     proposals, _, _ = _sample_scene()
-    features = proposals.features.copy()
-    features[[3, 5]] = 0.0
-    with pytest.raises(NearZeroRow, match=r"^feature row 3 "):
-        ProposalSet(proposals.boxes, features, proposals.class_embeddings)
+    for value, error in CANNOT_NORMALIZE:
+        features = proposals.features.copy()
+        features[[3, 5]] = value
+        with pytest.raises(error, match=r"^feature row 3 "):
+            ProposalSet(proposals.boxes, features, proposals.class_embeddings)
 
 
 def test_proposal_set_rejects_zero_class_embedding():
     proposals, _, _ = _sample_scene()
-    emb = proposals.class_embeddings.copy()
-    emb[2] = 0.0
-    with pytest.raises(NearZeroRow, match=r"^class 2 embedding "):
-        ProposalSet(proposals.boxes, proposals.features, emb)
+    for value, error in CANNOT_NORMALIZE:
+        emb = proposals.class_embeddings.copy()
+        emb[2] = value
+        with pytest.raises(error, match=r"^class 2 embedding "):
+            ProposalSet(proposals.boxes, proposals.features, emb)
 
 
 def test_prompt_pool_rejects_zero_prompt_row():
     _, pool, _ = _sample_scene()
-    emb = pool.embeddings.copy()
-    emb[1, 3] = 0.0
-    emb[2, 0] = 0.0
-    with pytest.raises(NearZeroRow, match=r"^class 1 prompt 3 "):
-        PromptPool(emb)
-    assert issubclass(NearZeroRow, ValueError)
+    for (value, error), prompt in zip(CANNOT_NORMALIZE, (3, 2)):
+        emb = pool.embeddings.copy()
+        emb[1, prompt] = value
+        emb[2, 0] = value
+        with pytest.raises(error, match=rf"^class 1 prompt {prompt} "):
+            PromptPool(emb)
+        assert issubclass(error, ValueError)
 
 
 def test_ground_truth_rejects_negative_class():
@@ -288,6 +295,10 @@ def test_integer_arrays_still_make_a_proposal_set_and_pool():
     assert proposals.n == 2 and proposals.d == 2
     pool = PromptPool(np.array([[[1, 0], [1, 1]], [[0, 1], [2, 1]]], dtype=np.uint8))
     assert pool.d == 2
+    # both hold float64, and a float64 array is held as it is
+    held = (proposals.boxes, proposals.features, proposals.class_embeddings, pool.embeddings)
+    assert all(a.dtype == np.float64 for a in held)
+    assert PromptPool(pool.embeddings).embeddings is pool.embeddings
     # the episode scores them as floats: its prompt gather is shifted in place
     cfg = EpisodeConfig(reduction=2, rho=0.5)
     floats = ProposalSet(*(a.astype(float) for a in (proposals.boxes, proposals.features, proposals.class_embeddings)))

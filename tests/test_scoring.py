@@ -53,8 +53,12 @@ def test_norms_from_squares_rejects_a_square_that_is_not_finite():
     for bad in (math.inf, math.nan):
         with pytest.raises(NonFiniteRow, match=rf"^row 1 has squared norm {bad}; cannot normalize$"):
             norms_from_squares(np.array([4.0, bad, 9.0]))
-    with pytest.raises(NearZeroRow, match=r"^row 0 "):
-        norms_from_squares(np.array([0.0, math.inf]))
+    # a zero row is named first wherever it stands; squares of any shape name the row by its index
+    for sq in ([0.0, math.inf], [math.inf, 0.0]):
+        with pytest.raises(NearZeroRow, match=rf"^row {sq.index(0.0)} "):
+            norms_from_squares(np.array(sq))
+    with pytest.raises(NonFiniteRow, match=r"^class 1 prompt 0 has squared norm nan; "):
+        norms_from_squares(np.array([[1.0, 1.0], [math.nan, 1.0]]), lambda k, t: f"class {k} prompt {t}")
     np.testing.assert_array_equal(norms_from_squares(np.array([4.0, 9.0, 1e300])), [[2.0], [3.0], [1e150]])
 
 
